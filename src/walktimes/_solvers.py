@@ -17,6 +17,9 @@ states whose expectation is infinite.
 States that reach the target with probability < 1 have infinite
 expected steps; they are excluded from the linear system up front via
 the reach probabilities, which keeps the interior matrix nonsingular.
+On an irreducible chain every state reaches every target surely, so
+``chain_steps`` runs the reach solve only on reducible chains: one
+sparse LU per target on an irreducible chain, two on a reducible one.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .chains import check_irreducible
 from .config import TOL, Tolerances
 from .errors import ConvergenceError
 
-__all__ = ["reach_probabilities", "expected_steps"]
+__all__ = ["reach_probabilities", "expected_steps", "chain_steps"]
 
 
 def _direct_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances):
@@ -65,7 +69,10 @@ def _iterate_affine(B: sp.csr_matrix, rhs: np.ndarray, cap: float | None,
         converged = False
         for _ in range(tol.max_sweeps):
             y = r + Bs @ x
-            assert np.all(y >= x - 1e-9 * np.maximum(1.0, np.abs(x)))
+            if not np.all(y >= x - 1e-9 * np.maximum(1.0, np.abs(x))):
+                raise ConvergenceError(
+                    "fixed-point iteration lost monotonicity"
+                )
             if cap is not None and (y > cap).any():
                 bad = idx[np.flatnonzero(y > cap)]
                 alive[bad] = False
@@ -100,8 +107,9 @@ def reach_probabilities(P: sp.csr_matrix, target: np.ndarray,
     interior = np.flatnonzero(~target)
     if interior.size == 0:
         return phi
-    B = P[interior][:, interior]
-    c = np.asarray(P[interior][:, target].sum(axis=1)).ravel()
+    rows = P[interior]
+    B = rows[:, interior]
+    c = np.asarray(rows[:, target].sum(axis=1)).ravel()
     x = _direct_solve(B, c, tol)
     if x is None or (x < -1e-9).any() or (x > 1 + 1e-9).any():
         x, _ = _iterate_affine(B, c, cap=None, tol=tol)
@@ -110,10 +118,8 @@ def reach_probabilities(P: sp.csr_matrix, target: np.ndarray,
 
 
 def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
-                   one_boundary: np.ndarray | None = None,
-                   phi: np.ndarray | None = None,
-                   assume_sure: bool = False,
-                   tol: Tolerances = TOL):
+                   one_boundary: np.ndarray | None = None, *,
+                   assume_sure: bool, tol: Tolerances = TOL):
     """Expected steps to absorption with fixed boundary values.
 
     States in ``zero_boundary`` are pinned to 0, states in
@@ -121,9 +127,8 @@ def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
     satisfies x_i = 1 + sum_j P_ij x_j. Returns (x, finite, phi) where
     x holds inf for states whose expectation diverges.
 
-    ``phi`` may carry precomputed reach probabilities for the union
-    boundary; ``assume_sure`` skips the reach solve entirely (valid
-    for irreducible chains, where every state reaches every target).
+    ``assume_sure`` skips the reach solve and takes every reach
+    probability to be 1, which holds on an irreducible chain.
     """
     n = P.shape[0]
     zero_boundary = np.asarray(zero_boundary, dtype=bool)
@@ -133,11 +138,10 @@ def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
         one_boundary = np.asarray(one_boundary, dtype=bool) & ~zero_boundary
     boundary = zero_boundary | one_boundary
 
-    if phi is None:
-        if assume_sure:
-            phi = np.ones(n)
-        else:
-            phi = reach_probabilities(P, boundary, tol=tol)
+    if assume_sure:
+        phi = np.ones(n)
+    else:
+        phi = reach_probabilities(P, boundary, tol=tol)
 
     x = np.full(n, np.inf)
     x[zero_boundary] = 0.0
@@ -145,8 +149,9 @@ def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
     finite = phi >= 1.0 - tol.finite_probability
     work = np.flatnonzero(finite & ~boundary)
     if work.size:
-        B = P[work][:, work]
-        rhs = 1.0 + np.asarray(P[work][:, one_boundary].sum(axis=1)).ravel()
+        rows = P[work]
+        B = rows[:, work]
+        rhs = 1.0 + np.asarray(rows[:, one_boundary].sum(axis=1)).ravel()
         sol = _direct_solve(B, rhs, tol)
         if sol is None or (sol < -1e-9).any():
             sol, diverged = _iterate_affine(
@@ -155,3 +160,16 @@ def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
             sol = np.where(diverged, np.inf, sol)
         x[work] = np.maximum(sol, 0.0)
     return x, np.isfinite(x), phi
+
+
+def chain_steps(chain, zero_boundary: np.ndarray,
+                one_boundary: np.ndarray | None = None,
+                tol: Tolerances = TOL):
+    """``expected_steps`` on a chain's transition matrix.
+
+    The reach solve runs only when the chain is reducible, where it is
+    what finds the infinite times; the strong-connectivity verdict is
+    cached on the chain.
+    """
+    return expected_steps(chain.matrix, zero_boundary, one_boundary,
+                          assume_sure=check_irreducible(chain)[0], tol=tol)

@@ -48,6 +48,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _trial_count(text: str) -> int:
+    n = _int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _seed(text: str) -> int:
+    # the Philox key of the Monte Carlo streams is a 128-bit integer
+    n = _int(text)
+    if not 0 <= n < 2**128:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**128), got {n}")
+    return n
+
+
 def _add_input_args(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="graph file")
     p.add_argument("--format", choices=["edge-list", "matrix-market"],
@@ -507,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["hitting", "return"], default="hitting")
     p.add_argument("--source", required=True, help="start node label")
     p.add_argument("--target", help="target node label (hitting)")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_trial_count, default=100_000)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cap", type=int, default=TOL.simulation_step_cap)
     _add_output_args(p)
     p.set_defaults(func=cmd_simulate)
@@ -516,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the identity suite on an input")
     _add_input_args(p)
     p.add_argument("--walk", default="nb", help=WALK_HELP)
-    p.add_argument("--trials", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_trial_count, default=20_000)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cap", type=int, default=TOL.simulation_step_cap)
     _add_output_args(p)
     p.set_defaults(func=cmd_validate)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solvers import expected_steps, reach_probabilities
+from ._solvers import chain_steps, reach_probabilities
 from .chains import stationary_density
 from .config import TOL, Tolerances
 from .errors import InvariantViolation, SizeCapError
@@ -99,7 +99,7 @@ def mean_hitting_times(chain, S, tol: Tolerances = TOL) -> HittingSolution:
     probability below one has infinite expected time.
     """
     mask = _target_mask(chain.n_states, S)
-    time, finite, phi = expected_steps(chain.matrix, mask, tol=tol)
+    time, finite, phi = chain_steps(chain, mask, tol=tol)
     return HittingSolution(
         target=tuple(int(i) for i in np.flatnonzero(mask)),
         probability=phi,
@@ -108,15 +108,20 @@ def mean_hitting_times(chain, S, tol: Tolerances = TOL) -> HittingSolution:
     )
 
 
-def _entry_times(chain, mask, pi, tol) -> np.ndarray:
-    """Expected steps to S per state, skipping the reach solve.
+def _entry_times(chain, mask, tol) -> np.ndarray:
+    """Expected steps to S per state, all of which must be finite.
 
-    Valid when an invariant density exists: the chain is irreducible,
-    so every state surely reaches every target.
+    An invariant density does not make the chain irreducible: a
+    reducible bistochastic chain carries the uniform density. So the
+    reach solve is skipped only when the chain is irreducible; on a
+    reducible chain it marks the states that miss S, and any such
+    state fails the identity the caller is about to check.
     """
-    time, finite, _ = expected_steps(chain.matrix, mask, assume_sure=True, tol=tol)
+    time, finite, _ = chain_steps(chain, mask, tol=tol)
     if not finite.all():
-        raise InvariantViolation("hitting time diverged on an irreducible chain")
+        raise InvariantViolation(
+            "hitting time is infinite: some state never reaches the target set"
+        )
     return time
 
 
@@ -131,7 +136,7 @@ def return_times(chain, S, pi=None, tol: Tolerances = TOL) -> ReturnData:
     if pi is None:
         pi = stationary_density(chain, tol=tol)
     mask = _target_mask(chain.n_states, S)
-    tau = _entry_times(chain, mask, pi, tol)
+    tau = _entry_times(chain, mask, tol)
     idx = np.flatnonzero(mask)
     tau_plus = 1.0 + (chain.matrix[idx] @ tau)
     mass = float(pi[idx].sum())
@@ -171,7 +176,7 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
     mask = np.zeros(n, dtype=bool)
     for k in range(n):
         mask[k] = True
-        T[:, k] = _entry_times(chain, mask, pi, tol)
+        T[:, k] = _entry_times(chain, mask, tol)
         mask[k] = False
 
     row_means = T @ pi
@@ -211,7 +216,7 @@ def subset_decomposition(chain, S, pi=None, T=None,
     n = chain.n_states
     mask = _target_mask(n, S)
     idx = np.flatnonzero(mask)
-    tau = _entry_times(chain, mask, pi, tol)
+    tau = _entry_times(chain, mask, tol)
     tau_plus = 1.0 + (chain.matrix[idx] @ tau)
 
     weights = np.zeros(n)
@@ -229,7 +234,7 @@ def subset_decomposition(chain, S, pi=None, T=None,
         single = np.zeros(n, dtype=bool)
         for c, k in enumerate(idx):
             single[k] = True
-            cols[:, c] = _entry_times(chain, single, pi, tol)
+            cols[:, c] = _entry_times(chain, single, tol)
             single[k] = False
 
     # the constant, evaluated at every member of S, must not vary

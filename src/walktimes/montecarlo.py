@@ -84,32 +84,36 @@ class _Accumulator:
 
 
 class _RowSampler:
-    """Inverse-CDF sampling of sparse transition rows."""
+    """Inverse-CDF sampling of sparse transition rows.
+
+    The cumulative sums of each row end in +inf instead of their last
+    value, so a scan that advances while u exceeds the sum stops on
+    the row's last entry at the latest.
+    """
 
     def __init__(self, P: sp.csr_matrix):
         P = P.tocsr()
         self.indptr = P.indptr.astype(np.int64)
         self.indices = P.indices.astype(np.int64)
-        self.rowlen = np.diff(self.indptr)
-        if (self.rowlen == 0).any():
+        rowlen = np.diff(self.indptr)
+        if (rowlen == 0).any():
             raise ChainError("cannot simulate a chain with an empty row")
-        self.maxlen = int(self.rowlen.max())
+        self.maxlen = int(rowlen.max())
         cdf = P.data.copy()
         for r in range(P.shape[0]):
             a, b = self.indptr[r], self.indptr[r + 1]
             cdf[a:b] = np.cumsum(cdf[a:b])
+        cdf[self.indptr[1:] - 1] = np.inf
         self.cdf = cdf
 
     def sample(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        start = self.indptr[rows]
-        last = self.rowlen[rows] - 1
-        off = np.zeros(rows.size, dtype=np.int64)
+        pos = self.indptr[rows]
         for _ in range(self.maxlen - 1):
-            adv = (off < last) & (u > self.cdf[start + off])
+            adv = u > self.cdf[pos]
             if not adv.any():
                 break
-            off += adv
-        return self.indices[start + off]
+            pos += adv
+        return self.indices[pos]
 
 
 def _block_sizes(trials: int) -> list[int]:
@@ -216,37 +220,37 @@ def simulate_so_sweep(chain, pdata, source, trials, seed,
     first = _first_probs(pdata)
     out, first_cdf = _first_edge_cdf(chain, first, source)
     sampler = _RowSampler(chain.matrix)
+    # column of the node each edge enters; entering the source fills
+    # the extra column n, which holds the first return
     dst = chain.graph.dst
-    accs = [_Accumulator() for _ in range(n)]
-    ret_acc = _Accumulator()
+    column = np.where(dst == source, n, dst)
+    accs = [_Accumulator() for _ in range(n + 1)]
     for b, nb in enumerate(_block_sizes(int(trials))):
         rng = _block_rng(seed, b)
-        visits = np.full((nb, n), np.inf)
-        visits[:, source] = 0.0
-        ret = np.full(nb, np.inf)
+        times = np.full((nb, n + 1), np.inf)
+        times[:, source] = 0.0
+        cells = times.reshape(-1)
+        row_start = np.arange(nb, dtype=np.int64) * (n + 1)
         remaining = np.full(nb, n, dtype=np.int64)  # n-1 other nodes + return
         pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
         cur = out[np.minimum(pick, out.size - 1)]
-        idx = np.arange(nb)
         t = 1
         while True:
-            x = dst[cur]
-            new = np.isinf(visits[idx, x])
-            visits[idx[new], x[new]] = t
-            back = (x == source) & np.isinf(ret[idx])
-            ret[idx[back]] = t
-            remaining[idx] -= new.astype(np.int64) + back.astype(np.int64)
-            alive = remaining[idx] > 0
-            cur, idx = cur[alive], idx[alive]
+            cell = row_start + column[cur]
+            new = np.isinf(cells[cell])
+            cells[cell[new]] = t
+            remaining -= new
+            alive = remaining > 0
+            cur, row_start, remaining = cur[alive], row_start[alive], remaining[alive]
             if cur.size == 0 or t >= cap:
                 break
             cur = sampler.sample(cur, rng.random(cur.size))
             t += 1
-        for k in range(n):
-            col = visits[:, k]
+        for k in range(n + 1):
+            col = times[:, k]
             accs[k].add(col, censored=int(np.isinf(col).sum()))
-        ret_acc.add(ret, censored=int(np.isinf(ret).sum()))
-    return [a.stats() for a in accs], ret_acc.stats()
+    stats = [a.stats() for a in accs]
+    return stats[:n], stats[n]
 
 
 def simulate_fo_hitting(chain, source, targets, trials,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import firstorder as fo
-from ._solvers import expected_steps, reach_probabilities
+from ._solvers import chain_steps, reach_probabilities
 from .config import TOL, Tolerances
 from .errors import ChainError, InvariantViolation
 from .pullback import PullbackData
@@ -123,7 +123,7 @@ def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> SecondOrderHitting:
     _require_edge_chain(chain)
     k = _check_node(chain, k)
     leaving, entering = _boundary_masks(chain, k)
-    time, finite, phi = expected_steps(chain.matrix, leaving, entering, tol=tol)
+    time, finite, phi = chain_steps(chain, leaving, entering, tol=tol)
     return SecondOrderHitting(target=k, probability=phi, time=time, finite=finite)
 
 

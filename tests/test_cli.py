@@ -310,6 +310,35 @@ class TestExitCodes:
     def test_usage_error_missing_required(self, capsys):
         assert main(["info"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--source", "a", "--target", "c", "--trials", "0"),
+         "argument --trials: must be at least 1, got 0"),
+        (("validate", "--trials", "0"),
+         "argument --trials: must be at least 1, got 0"),
+        (("simulate", "--source", "a", "--target", "c", "--seed", "-1"),
+         "argument --seed: must be in [0, 2**128), got -1"),
+        (("validate", "--seed", str(2**128)),
+         f"argument --seed: must be in [0, 2**128), got {2**128}"),
+        (("simulate", "--source", "a", "--target", "c", "--trials", "x"),
+         "argument --trials: invalid int value: 'x'"),
+    ])
+    def test_usage_error_bad_trials_or_seed(self, capsys, c4_file, argv,
+                                            message):
+        code, out, err = run(capsys, argv[0], "--input", c4_file,
+                             "--undirected", *argv[1:])
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"walktimes {argv[0]}: error: {message}"]
+        assert "Traceback" not in err
+
+    def test_largest_seed_accepted(self, capsys, c4_file):
+        code, out, _ = run(capsys, "simulate", "--input", c4_file,
+                           "--undirected", "--source", "a", "--target", "c",
+                           "--trials", "10", "--seed", str(2**128 - 1))
+        assert code == 0
+        assert out.splitlines()[1].startswith("hitting a->c,2,0,10,0,")
+
     def test_data_error_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "info", "--input",
                            str(tmp_path / "absent.edges"))

@@ -252,3 +252,12 @@ class TestMinimality:
             it, diverged = _iterate_affine(B, rhs, None, TOL)
             assert not diverged.any()
             assert np.abs(it - sol.time[interior]).max() <= 1e-8
+
+    def test_non_monotone_iterate_raises_convergence_error(self):
+        from walktimes._solvers import _iterate_affine
+        from walktimes.errors import ConvergenceError
+        import scipy.sparse as sp
+        # x <- 1 - 0.5 x goes 0, 1, 0.5: the second step decreases
+        B = sp.csr_matrix(np.array([[-0.5]]))
+        with pytest.raises(ConvergenceError, match="monotonicity"):
+            _iterate_affine(B, np.ones(1), None, TOL)

@@ -184,3 +184,82 @@ class TestValidation:
         n = 4096
         stats = simulate_so_hitting(ch, pdata, 0, 1, trials=n, seed=2)
         assert stats.stderr == pytest.approx(1 / math.sqrt(n), rel=0.1)
+
+
+def loop_sample(P, rows, u):
+    """Reference inverse-CDF draw: scan each row until u <= its cumulative sum."""
+    P = P.tocsr()
+    out = np.empty(rows.size, dtype=np.int64)
+    for n, (r, x) in enumerate(zip(rows, u)):
+        a, b = P.indptr[r], P.indptr[r + 1]
+        cdf = np.cumsum(P.data[a:b])
+        off = 0
+        while off < b - a - 1 and x > cdf[off]:
+            off += 1
+        out[n] = P.indices[a + off]
+    return out
+
+
+def loop_sweep(chain, pdata, source, trials, seed, cap):
+    """Reference sweep: one walk at a time on the same random streams."""
+    from walktimes import montecarlo as mc
+    n = chain.graph.n
+    out, first_cdf = mc._first_edge_cdf(chain, mc._first_probs(pdata), source)
+    dst = chain.graph.dst
+    accs = [mc._Accumulator() for _ in range(n + 1)]
+    for b, nb in enumerate(mc._block_sizes(trials)):
+        rng = mc._block_rng(seed, b)
+        visits = np.full((nb, n), np.inf)
+        visits[:, source] = 0.0
+        ret = np.full(nb, np.inf)
+        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
+        cur = out[np.minimum(pick, out.size - 1)]
+        alive = list(range(nb))
+        t = 1
+        while True:
+            still = []
+            for w, e in zip(alive, cur):
+                x = dst[e]
+                if x == source and ret[w] == np.inf:
+                    ret[w] = t
+                elif visits[w, x] == np.inf:
+                    visits[w, x] = t
+                if np.isinf(visits[w]).any() or ret[w] == np.inf:
+                    still.append((w, e))
+            alive = [w for w, _ in still]
+            cur = np.array([e for _, e in still], dtype=np.int64)
+            if not alive or t >= cap:
+                break
+            cur = loop_sample(chain.matrix, cur, rng.random(cur.size))
+            t += 1
+        for k in range(n):
+            accs[k].add(visits[:, k], censored=int(np.isinf(visits[:, k]).sum()))
+        accs[n].add(ret, censored=int(np.isinf(ret).sum()))
+    stats = [a.stats() for a in accs]
+    return stats[:n], stats[n]
+
+
+class TestLoopReference:
+    def test_row_sampler_matches_scan(self, petersen):
+        from walktimes.montecarlo import _RowSampler
+        rng = np.random.default_rng(5)
+        for ch in (uniform_edge_chain(petersen),
+                   downweighted_edge_chain(oracles.random_undirected(9, 6, 3), 0.3)):
+            sampler = _RowSampler(ch.matrix)
+            rows = rng.integers(ch.n_states, size=500)
+            P = ch.matrix.tocsr()
+            # draws on and just past each row's first cumulative sum, and near 1
+            edge = P.data[P.indptr[rows]]
+            for u in (rng.random(rows.size), edge, np.nextafter(edge, 1.0),
+                      np.full(rows.size, np.nextafter(1.0, 0.0))):
+                assert np.array_equal(sampler.sample(rows, u),
+                                      loop_sample(P, rows, u))
+
+    def test_sweep_matches_one_walk_at_a_time(self, c4, k33):
+        g = oracles.random_undirected(7, 3, 11)
+        for ch, source, cap in ((nonbacktracking_edge_chain(c4), 0, 100),
+                                (downweighted_edge_chain(g, 0.3), 2, 100),
+                                (uniform_edge_chain(k33), 1, 4)):
+            pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+            got = simulate_so_sweep(ch, pdata, source, 300, seed=4, cap=cap)
+            assert got == loop_sweep(ch, pdata, source, 300, 4, cap)

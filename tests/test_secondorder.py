@@ -7,12 +7,16 @@ import pytest
 
 import oracles
 from walktimes import (
+    InvariantViolation,
     SizeCapError,
     build_pullback,
+    check_irreducible,
     downweighted_edge_chain,
+    edge_chain_from_tensor,
     equilibrium_pullback,
     hitting_matrix,
     is_bistochastic,
+    mean_hitting_times,
     nonbacktracking_edge_chain,
     so_hitting_matrix,
     so_hitting_probabilities,
@@ -25,6 +29,7 @@ from walktimes import (
     uniform_node_chain,
 )
 from walktimes import secondorder
+from walktimes._solvers import expected_steps
 from walktimes.config import TOL
 
 
@@ -283,3 +288,84 @@ class TestRandomTarget:
         rt = so_random_target(ch, pdata)
         assert rt.condition_holds
         assert rt.spread <= 1e-9
+
+
+def random_tensor_chain(g, seed):
+    """Tensor walk with random positive weights on every next step."""
+    rng = np.random.default_rng(seed)
+    probs = {}
+    for i, j in g.edges:
+        nxt = [int(g.dst[f]) for f in g.out_edges(j)]
+        w = rng.uniform(0.1, 1.0, size=len(nxt))
+        for k, p in zip(nxt, w / w.sum()):
+            probs[(i, j, k)] = p
+    return edge_chain_from_tensor(g, probs)
+
+
+def count_splu(monkeypatch):
+    import walktimes._solvers as solvers
+    calls = []
+    real = solvers.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "splu", counted)
+    return calls
+
+
+class TestReachSolveOnlyOnReducibleChains:
+    def irreducible_chains(self, k33, petersen):
+        g = oracles.random_undirected(12, 10, 7)
+        return [uniform_edge_chain(k33), nonbacktracking_edge_chain(petersen),
+                downweighted_edge_chain(petersen, 0.3),
+                random_tensor_chain(g, 3)]
+
+    def test_times_bitwise_equal_to_reach_path(self, k33, petersen):
+        for ch in self.irreducible_chains(k33, petersen):
+            assert check_irreducible(ch)[0]
+            for k in range(ch.graph.n):
+                sol = so_mean_hitting_times(ch, k)
+                leaving, entering = secondorder._boundary_masks(ch, k)
+                reach_time, _, _ = expected_steps(
+                    ch.matrix, leaving, entering, assume_sure=False
+                )
+                assert np.array_equal(sol.time, reach_time)
+                assert np.all(sol.probability == 1.0)
+
+    def test_one_factorization_per_target(self, petersen, monkeypatch):
+        ch = nonbacktracking_edge_chain(petersen)
+        pdata = pullback_of(ch)
+        calls = count_splu(monkeypatch)
+        so_hitting_matrix(ch, pdata, route="aggregated")
+        assert len(calls) == petersen.n
+
+    def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
+        for g in (c3, c4):
+            ch = nonbacktracking_edge_chain(g)
+            irreducible, comps = check_irreducible(ch)
+            assert not irreducible and len(comps) == 2
+            for e in range(g.m):
+                calls = count_splu(monkeypatch)
+                sol = mean_hitting_times(ch, [e])
+                # one LU for the reach probabilities, one for the steps
+                assert len(calls) == 2
+                own = next(c for c in comps if e in c)
+                expect_inf = np.ones(g.m, dtype=bool)
+                expect_inf[own] = False
+                assert np.array_equal(np.isinf(sol.time), expect_inf)
+                assert np.all(sol.probability[expect_inf] == 0.0)
+            for k in range(g.n):
+                sol = so_mean_hitting_times(ch, k)
+                leaving, entering = secondorder._boundary_masks(ch, k)
+                reach_time, _, phi = expected_steps(
+                    ch.matrix, leaving, entering, assume_sure=False
+                )
+                assert np.array_equal(sol.time, reach_time)
+                assert np.array_equal(sol.probability, phi)
+
+    def test_route_both_on_reducible_chain_fails_fast(self, c4):
+        ch = nonbacktracking_edge_chain(c4)
+        with pytest.raises(InvariantViolation, match="never reaches"):
+            so_hitting_matrix(ch, pullback_of(ch), route="both")
