@@ -55,7 +55,7 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _trial_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -529,18 +529,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["hitting", "return"], default="hitting")
     p.add_argument("--source", required=True, help="start node label")
     p.add_argument("--target", help="target node label (hitting)")
-    p.add_argument("--trials", type=_trial_count, default=100_000)
+    p.add_argument("--trials", type=_at_least_one, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=int, default=TOL.simulation_step_cap)
+    p.add_argument("--cap", type=_at_least_one, default=TOL.simulation_step_cap)
     _add_output_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="run the identity suite on an input")
     _add_input_args(p)
     p.add_argument("--walk", default="nb", help=WALK_HELP)
-    p.add_argument("--trials", type=_trial_count, default=20_000)
+    p.add_argument("--trials", type=_at_least_one, default=20_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=int, default=TOL.simulation_step_cap)
+    p.add_argument("--cap", type=_at_least_one, default=TOL.simulation_step_cap)
     _add_output_args(p)
     p.set_defaults(func=cmd_validate)
 

@@ -8,6 +8,13 @@ given seed and trial count no matter how blocks are scheduled.
 Each walk runs until it hits its target or a step cap; capped walks
 are reported as censored and excluded from the mean. Estimates carry
 the sample standard error of the mean.
+
+Every step is an inverse-CDF draw: the first entry of the row whose
+cumulative sum is at least u. On chains with long rows a guide table
+(Chen & Asau, 1974) picks where the scan starts; the start is a lower
+bound on the answer, so every draw, and hence every result, is the
+same as from a scan that starts at the row's first entry. Short rows
+skip the guide, whose lookup costs more than the few passes it saves.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
 ]
 
 BLOCK = 8192
+GUIDE_MIN_ROW = 8  # longest row at which the guide table pays
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,16 @@ class _RowSampler:
     The cumulative sums of each row end in +inf instead of their last
     value, so a scan that advances while u exceeds the sum stops on
     the row's last entry at the latest.
+
+    When the longest row has at least ``GUIDE_MIN_ROW`` entries, a
+    guide table with one cell per entry tells each draw where to start
+    scanning. Cell c of a row with L entries holds the first entry
+    whose cumulative sum is at least c / L. A draw u in [0, 1] reads
+    cell floor(u * w) with w = L (1 - 2**-52) rounded, so u = 1 stays
+    in the last cell. Since w < L (1 - 2**-53), the rounded product
+    reaches c only when u > c / L: the start never passes the first
+    entry with u <= cdf, and the scan returns exactly that entry.
+    Shorter rows scan from their first entry.
     """
 
     def __init__(self, P: sp.csr_matrix):
@@ -105,9 +123,20 @@ class _RowSampler:
             cdf[a:b] = np.cumsum(cdf[a:b])
         cdf[self.indptr[1:] - 1] = np.inf
         self.cdf = cdf
+        self.guide = None
+        if self.maxlen >= GUIDE_MIN_ROW:
+            self.width = rowlen * (1.0 - 2.0**-52)
+            self.guide = np.empty(cdf.size, dtype=np.int64)
+            for r in range(P.shape[0]):
+                a, b = self.indptr[r], self.indptr[r + 1]
+                cells = np.arange(b - a) / (b - a)
+                self.guide[a:b] = a + np.searchsorted(cdf[a:b], cells)
 
     def sample(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state of each walk in ``rows`` for draws ``u`` in [0, 1]."""
         pos = self.indptr[rows]
+        if self.guide is not None:
+            pos = self.guide[pos + (u * self.width[rows]).astype(np.int64)]
         for _ in range(self.maxlen - 1):
             adv = u > self.cdf[pos]
             if not adv.any():
@@ -140,6 +169,43 @@ def _first_probs(pdata) -> np.ndarray:
     return getattr(pdata, "first_transition", pdata)
 
 
+def _first_edges(chain, pdata, source):
+    """Draw of each walk's first edge out of ``source``, one uniform per walk."""
+    out, first_cdf = _first_edge_cdf(chain, _first_probs(pdata), source)
+
+    def draw(rng, nb):
+        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
+        return out[np.minimum(pick, out.size - 1)]
+    return draw
+
+
+def _first_passage(chain, start, t0, stop, trials, seed, cap) -> WalkStats:
+    """Lock-step walks until each enters a state marked in ``stop``.
+
+    ``start(rng, nb)`` places a block's walks at time ``t0``; after
+    that each step draws one uniform per walk still running.
+    """
+    sampler = _RowSampler(chain.matrix)
+    acc = _Accumulator()
+    for b, nb in enumerate(_block_sizes(int(trials))):
+        rng = _block_rng(seed, b)
+        times = np.full(nb, np.inf)
+        cur = start(rng, nb)
+        idx = np.arange(nb)
+        t = t0
+        while True:
+            hit = stop[cur]
+            times[idx[hit]] = t
+            miss = ~hit
+            cur, idx = cur[miss], idx[miss]
+            if cur.size == 0 or t >= cap:
+                break
+            cur = sampler.sample(cur, rng.random(cur.size))
+            t += 1
+        acc.add(times, censored=cur.size)
+    return acc.stats()
+
+
 def simulate_so_hitting(chain, pdata, source, target, trials,
                         seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from one node to another.
@@ -151,58 +217,16 @@ def simulate_so_hitting(chain, pdata, source, target, trials,
     source, target = int(source), int(target)
     if source == target:
         return WalkStats(0.0, 0.0, int(trials), 0)
-    first = _first_probs(pdata)
-    out, first_cdf = _first_edge_cdf(chain, first, source)
-    sampler = _RowSampler(chain.matrix)
-    dst = chain.graph.dst
-    acc = _Accumulator()
-    for b, nb in enumerate(_block_sizes(int(trials))):
-        rng = _block_rng(seed, b)
-        times = np.full(nb, np.inf)
-        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
-        cur = out[np.minimum(pick, out.size - 1)]
-        idx = np.arange(nb)
-        t = 1
-        hit = dst[cur] == target
-        times[idx[hit]] = t
-        cur, idx = cur[~hit], idx[~hit]
-        while cur.size and t < cap:
-            cur = sampler.sample(cur, rng.random(cur.size))
-            t += 1
-            hit = dst[cur] == target
-            times[idx[hit]] = t
-            cur, idx = cur[~hit], idx[~hit]
-        acc.add(times, censored=cur.size)
-    return acc.stats()
+    return _first_passage(chain, _first_edges(chain, pdata, source), 1,
+                          chain.graph.dst == target, trials, seed, cap)
 
 
 def simulate_so_return(chain, pdata, node, trials,
                        seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from a node back to itself."""
     node = int(node)
-    first = _first_probs(pdata)
-    out, first_cdf = _first_edge_cdf(chain, first, node)
-    sampler = _RowSampler(chain.matrix)
-    dst = chain.graph.dst
-    acc = _Accumulator()
-    for b, nb in enumerate(_block_sizes(int(trials))):
-        rng = _block_rng(seed, b)
-        times = np.full(nb, np.inf)
-        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
-        cur = out[np.minimum(pick, out.size - 1)]
-        idx = np.arange(nb)
-        t = 1
-        back = dst[cur] == node  # impossible without self-loops, kept for safety
-        times[idx[back]] = t
-        cur, idx = cur[~back], idx[~back]
-        while cur.size and t < cap:
-            cur = sampler.sample(cur, rng.random(cur.size))
-            t += 1
-            back = dst[cur] == node
-            times[idx[back]] = t
-            cur, idx = cur[~back], idx[~back]
-        acc.add(times, censored=cur.size)
-    return acc.stats()
+    return _first_passage(chain, _first_edges(chain, pdata, node), 1,
+                          chain.graph.dst == node, trials, seed, cap)
 
 
 def simulate_so_sweep(chain, pdata, source, trials, seed,
@@ -217,8 +241,7 @@ def simulate_so_sweep(chain, pdata, source, trials, seed,
     """
     source = int(source)
     n = chain.graph.n
-    first = _first_probs(pdata)
-    out, first_cdf = _first_edge_cdf(chain, first, source)
+    start = _first_edges(chain, pdata, source)
     sampler = _RowSampler(chain.matrix)
     # column of the node each edge enters; entering the source fills
     # the extra column n, which holds the first return
@@ -232,8 +255,7 @@ def simulate_so_sweep(chain, pdata, source, trials, seed,
         cells = times.reshape(-1)
         row_start = np.arange(nb, dtype=np.int64) * (n + 1)
         remaining = np.full(nb, n, dtype=np.int64)  # n-1 other nodes + return
-        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
-        cur = out[np.minimum(pick, out.size - 1)]
+        cur = start(rng, nb)
         t = 1
         while True:
             cell = row_start + column[cur]
@@ -260,21 +282,7 @@ def simulate_fo_hitting(chain, source, targets, trials,
     targets = set(int(s) for s in targets)
     if source in targets:
         return WalkStats(0.0, 0.0, int(trials), 0)
-    sampler = _RowSampler(chain.matrix)
     mark = np.zeros(chain.n_states, dtype=bool)
     mark[list(targets)] = True
-    acc = _Accumulator()
-    for b, nb in enumerate(_block_sizes(int(trials))):
-        rng = _block_rng(seed, b)
-        times = np.full(nb, np.inf)
-        cur = np.full(nb, source, dtype=np.int64)
-        idx = np.arange(nb)
-        t = 0
-        while cur.size and t < cap:
-            cur = sampler.sample(cur, rng.random(cur.size))
-            t += 1
-            hit = mark[cur]
-            times[idx[hit]] = t
-            cur, idx = cur[~hit], idx[~hit]
-        acc.add(times, censored=cur.size)
-    return acc.stats()
+    return _first_passage(chain, lambda rng, nb: np.full(nb, source, dtype=np.int64),
+                          0, mark, trials, seed, cap)

@@ -31,7 +31,7 @@ from .chains import (
     uniform_density,
 )
 from .config import TOL, Tolerances
-from .errors import ChainError, InvariantViolation
+from .errors import ChainError, InvariantViolation, ReducibleChainError
 
 __all__ = [
     "PullbackData",
@@ -177,12 +177,12 @@ def equilibrium_pullback(chain: EdgeChain, allow_uniform_fallback: bool = False,
     With ``allow_uniform_fallback`` a reducible but bistochastic chain
     (the never-backtracking walk on an undirected cycle, for instance)
     uses the uniform edge density, which is invariant though not
-    unique; otherwise reducibility propagates as an error.
+    unique; otherwise it raises ``ReducibleChainError`` with the
+    strongly connected components.
     """
-    irr, _ = check_irreducible(chain)
+    irr, comps = check_irreducible(chain)
     if irr:
         return build_pullback(chain, tol=tol)
     if allow_uniform_fallback:
         return build_pullback(chain, pihat=uniform_density(chain), tol=tol)
-    stationary_density(chain, tol=tol)  # raises with component diagnostics
-    raise AssertionError("unreachable")
+    raise ReducibleChainError(comps, what="edge chain")

@@ -321,6 +321,12 @@ class TestExitCodes:
          f"argument --seed: must be in [0, 2**128), got {2**128}"),
         (("simulate", "--source", "a", "--target", "c", "--trials", "x"),
          "argument --trials: invalid int value: 'x'"),
+        (("simulate", "--source", "a", "--target", "c", "--cap", "0"),
+         "argument --cap: must be at least 1, got 0"),
+        (("simulate", "--source", "a", "--target", "c", "--cap", "-5"),
+         "argument --cap: must be at least 1, got -5"),
+        (("validate", "--cap", "0"),
+         "argument --cap: must be at least 1, got 0"),
     ])
     def test_usage_error_bad_trials_or_seed(self, capsys, c4_file, argv,
                                             message):

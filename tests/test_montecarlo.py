@@ -9,6 +9,7 @@ import oracles
 from walktimes import (
     build_pullback,
     downweighted_edge_chain,
+    edge_chain_from_tensor,
     equilibrium_pullback,
     hitting_matrix,
     mean_hitting_times,
@@ -239,27 +240,76 @@ def loop_sweep(chain, pdata, source, trials, seed, cap):
     return stats[:n], stats[n]
 
 
+def hub_cycle(n):
+    """Cycle on n nodes whose node 0 also links to every node but 1 and n-1."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, k) for k in range(2, n - 1)]
+    return oracles.undirected(n, pairs)
+
+
+def uneven_tensor_chain(g, seed):
+    """Tensor walk whose rows mix large and nearly-zero step probabilities."""
+    rng = np.random.default_rng(seed)
+    probs = {}
+    for i, j in g.edges:
+        nxt = [int(g.dst[f]) for f in g.out_edges(j)]
+        w = rng.random(len(nxt)) ** 4 + 1e-9
+        for k, p in zip(nxt, w / w.sum()):
+            probs[(i, j, k)] = p
+    return edge_chain_from_tensor(g, probs)
+
+
+def breakpoint_draws(P):
+    """Draws on every row at 0, at 1, each guide cell threshold c / len
+    and each cumulative sum, and one ulp either side of each."""
+    rows, draws = [], []
+    for r in range(P.shape[0]):
+        a, b = P.indptr[r], P.indptr[r + 1]
+        u = np.concatenate([[0.0, 1.0], np.arange(b - a) / (b - a),
+                            np.cumsum(P.data[a:b])])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = u[u <= 1.0]
+        rows.append(np.full(u.size, r))
+        draws.append(u)
+    return np.concatenate(rows), np.concatenate(draws)
+
+
 class TestLoopReference:
     def test_row_sampler_matches_scan(self, petersen):
-        from walktimes.montecarlo import _RowSampler
+        from walktimes.montecarlo import GUIDE_MIN_ROW, _RowSampler
         rng = np.random.default_rng(5)
-        for ch in (uniform_edge_chain(petersen),
-                   downweighted_edge_chain(oracles.random_undirected(9, 6, 3), 0.3)):
+        for ch, guided in (
+                (uniform_edge_chain(petersen), False),
+                (downweighted_edge_chain(oracles.random_undirected(9, 6, 3), 0.3), False),
+                (uniform_edge_chain(oracles.complete_graph(10)), True),
+                (nonbacktracking_edge_chain(hub_cycle(12)), True),
+                (uneven_tensor_chain(oracles.random_undirected(12, 40, 4), 6), True)):
             sampler = _RowSampler(ch.matrix)
+            assert (sampler.maxlen >= GUIDE_MIN_ROW) == guided
+            assert (sampler.guide is not None) == guided
             rows = rng.integers(ch.n_states, size=500)
             P = ch.matrix.tocsr()
             # draws on and just past each row's first cumulative sum, and near 1
             edge = P.data[P.indptr[rows]]
-            for u in (rng.random(rows.size), edge, np.nextafter(edge, 1.0),
-                      np.full(rows.size, np.nextafter(1.0, 0.0))):
-                assert np.array_equal(sampler.sample(rows, u),
-                                      loop_sample(P, rows, u))
+            draws = [(rows, u) for u in (
+                rng.random(rows.size), edge, np.nextafter(edge, 1.0),
+                np.full(rows.size, np.nextafter(1.0, 0.0)))]
+            for rows, u in draws + [breakpoint_draws(P)]:
+                want = loop_sample(P, rows, u)
+                assert np.array_equal(sampler.sample(rows, u), want)
+                if guided:
+                    # the guide's start never passes the reference answer
+                    a, rowlen = P.indptr[rows], np.diff(P.indptr)[rows]
+                    start = sampler.guide[a + (u * sampler.width[rows]).astype(np.int64)]
+                    answer = [i + np.flatnonzero(P.indices[i:i + n] == x)[0]
+                              for i, n, x in zip(a, rowlen, want)]
+                    assert (start >= a).all() and (start <= answer).all()
 
     def test_sweep_matches_one_walk_at_a_time(self, c4, k33):
         g = oracles.random_undirected(7, 3, 11)
         for ch, source, cap in ((nonbacktracking_edge_chain(c4), 0, 100),
                                 (downweighted_edge_chain(g, 0.3), 2, 100),
-                                (uniform_edge_chain(k33), 1, 4)):
+                                (uniform_edge_chain(k33), 1, 4),
+                                (uniform_edge_chain(oracles.complete_graph(10)), 3, 100)):
             pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
             got = simulate_so_sweep(ch, pdata, source, 300, seed=4, cap=cap)
             assert got == loop_sweep(ch, pdata, source, 300, 4, cap)

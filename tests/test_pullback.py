@@ -173,8 +173,14 @@ class TestEquilibriumPullback:
         assert np.array_equal(pdata.edge_density, np.full(8, 1 / 8))
 
     def test_reducible_without_fallback_raises(self, c4):
-        with pytest.raises(ReducibleChainError):
-            equilibrium_pullback(nonbacktracking_edge_chain(c4))
+        ch = nonbacktracking_edge_chain(c4)
+        with pytest.raises(ReducibleChainError) as got:
+            equilibrium_pullback(ch)
+        with pytest.raises(ReducibleChainError) as direct:
+            stationary_density(ch)
+        assert str(got.value) == str(direct.value)
+        assert got.value.components == direct.value.components
+        assert len(got.value.components) == 2
 
     def test_explicit_density_validated(self, k4):
         ch = uniform_edge_chain(k4)
