@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 BLOCK = 8192
-GUIDE_MIN_ROW = 8  # longest row at which the guide table pays
+GUIDE_MIN_ROW = 6  # longest row from which the guide table pays
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ class _RowSampler:
     in the last cell. Since w < L (1 - 2**-53), the rounded product
     reaches c only when u > c / L: the start never passes the first
     entry with u <= cdf, and the scan returns exactly that entry.
-    Shorter rows scan from their first entry.
+    Chains with shorter rows scan from each row's first entry: there
+    the lookup costs more than the few passes it saves.
     """
 
     def __init__(self, P: sp.csr_matrix):
@@ -117,20 +118,18 @@ class _RowSampler:
         if (rowlen == 0).any():
             raise ChainError("cannot simulate a chain with an empty row")
         self.maxlen = int(rowlen.max())
-        cdf = P.data.copy()
+        self.cdf = cdf = P.data.copy()
+        self.guide = guide = None
+        if self.maxlen >= GUIDE_MIN_ROW:
+            self.width = rowlen * (1.0 - 2.0**-52)
+            self.guide = guide = np.empty(cdf.size, dtype=np.int64)
         for r in range(P.shape[0]):
             a, b = self.indptr[r], self.indptr[r + 1]
             cdf[a:b] = np.cumsum(cdf[a:b])
-        cdf[self.indptr[1:] - 1] = np.inf
-        self.cdf = cdf
-        self.guide = None
-        if self.maxlen >= GUIDE_MIN_ROW:
-            self.width = rowlen * (1.0 - 2.0**-52)
-            self.guide = np.empty(cdf.size, dtype=np.int64)
-            for r in range(P.shape[0]):
-                a, b = self.indptr[r], self.indptr[r + 1]
+            cdf[b - 1] = np.inf
+            if guide is not None:
                 cells = np.arange(b - a) / (b - a)
-                self.guide[a:b] = a + np.searchsorted(cdf[a:b], cells)
+                guide[a:b] = a + np.searchsorted(cdf[a:b], cells)
 
     def sample(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each walk in ``rows`` for draws ``u`` in [0, 1]."""

@@ -281,6 +281,7 @@ class TestLoopReference:
                 (uniform_edge_chain(petersen), False),
                 (downweighted_edge_chain(oracles.random_undirected(9, 6, 3), 0.3), False),
                 (uniform_edge_chain(oracles.complete_graph(10)), True),
+                (uniform_edge_chain(oracles.complete_graph(7)), True),
                 (nonbacktracking_edge_chain(hub_cycle(12)), True),
                 (uneven_tensor_chain(oracles.random_undirected(12, 40, 4), 6), True)):
             sampler = _RowSampler(ch.matrix)
