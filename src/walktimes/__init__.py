@@ -12,8 +12,7 @@ Monte Carlo sampler.
 
 from . import firstorder, secondorder
 from .chains import (
-    EdgeChain,
-    NodeChain,
+    Chain,
     check_irreducible,
     downweighted_edge_chain,
     edge_chain_from_tensor,
@@ -69,13 +68,7 @@ from .montecarlo import (
     simulate_so_return,
     simulate_so_sweep,
 )
-from .pullback import (
-    PullbackData,
-    build_pullback,
-    equilibrium_pullback,
-    lift_density,
-    restrict_density,
-)
+from .pullback import PullbackData, build_pullback, equilibrium_pullback
 from .secondorder import (
     RandomTargetData,
     SecondOrderHitting,
@@ -83,23 +76,12 @@ from .secondorder import (
     SecondOrderReturn,
 )
 
-# second-order entry points under explicit names; the module namespace
-# (walktimes.secondorder) carries the short forms
-so_hitting_probabilities = secondorder.hitting_probabilities
-so_mean_hitting_times = secondorder.mean_hitting_times
-so_hitting_via_linegraph = secondorder.mean_hitting_times_via_line_graph
-so_node_hitting = secondorder.node_hitting_times
-so_return_times = secondorder.return_times
-so_hitting_matrix = secondorder.hitting_matrix
-so_random_target = secondorder.random_target
-
 __version__ = "0.1.0"
 
 __all__ = [
     "firstorder",
     "secondorder",
-    "EdgeChain",
-    "NodeChain",
+    "Chain",
     "check_irreducible",
     "downweighted_edge_chain",
     "edge_chain_from_tensor",
@@ -144,8 +126,6 @@ __all__ = [
     "load_chain",
     "load_transition_file",
     "save_chain",
-    "lift_density",
-    "restrict_density",
     "WalkStats",
     "simulate_fo_hitting",
     "simulate_so_hitting",
@@ -158,11 +138,4 @@ __all__ = [
     "SecondOrderHitting",
     "SecondOrderMatrix",
     "SecondOrderReturn",
-    "so_hitting_probabilities",
-    "so_mean_hitting_times",
-    "so_hitting_via_linegraph",
-    "so_node_hitting",
-    "so_return_times",
-    "so_hitting_matrix",
-    "so_random_target",
 ]

@@ -4,7 +4,9 @@ A second-order walk, whose step distribution depends on the previous
 and the current node, is handled as a first-order chain on the
 directed edges of the host graph: state (i, j) means "previous node i,
 current node j", and transitions (i, j) -> (j, k) follow the line
-graph. Chains on nodes cover the classical first-order case.
+graph. Chains on nodes cover the classical first-order case and the
+pullback. Both are one class, ``Chain``, whose ``states`` field says
+which set it runs on.
 
 All transition matrices are compressed sparse row with 64-bit floats,
 rows summing to one. Structural zeros are dropped from the support.
@@ -25,11 +27,10 @@ from .errors import (
     GraphStructureError,
     ReducibleChainError,
 )
-from .graph import Graph, LineGraphMap, line_graph
+from .graph import Graph, line_graph
 
 __all__ = [
-    "NodeChain",
-    "EdgeChain",
+    "Chain",
     "uniform_node_chain",
     "uniform_edge_chain",
     "nonbacktracking_edge_chain",
@@ -44,6 +45,8 @@ __all__ = [
 
 
 def _validate_rows(P: sp.csr_matrix, tol: float, what: str):
+    if not np.isfinite(P.data).all():
+        raise ChainError(f"{what} has non-finite transition probabilities")
     if (P.data < 0).any():
         raise ChainError(f"{what} has negative transition probabilities")
     sums = np.asarray(P.sum(axis=1)).ravel()
@@ -51,7 +54,7 @@ def _validate_rows(P: sp.csr_matrix, tol: float, what: str):
     if bad.any():
         idx = int(np.argmax(np.abs(sums - 1.0)))
         raise ChainError(
-            f"{what} rows must sum to 1; row {idx} sums to {sums[idx]!r}"
+            f"{what} rows must sum to 1; row {idx} sums to {float(sums[idx])!r}"
         )
 
 
@@ -71,29 +74,47 @@ def _validate_density(P: sp.csr_matrix, pi: np.ndarray, tol: float, what: str):
     return pi
 
 
-class NodeChain:
-    """First-order chain on the nodes of a graph.
+class Chain:
+    """First-order chain on the nodes or on the directed edges of a graph.
 
-    The support of the transition matrix must lie within the graph's
-    edge set. ``pi`` optionally carries a validated invariant density.
+    ``states`` is "nodes" or "edges"; edge states are host edge
+    indices. The support must lie within the graph's edge set on
+    nodes, and within the directed line graph on edges: a transition
+    e -> f needs ter(e) = sou(f). ``density`` optionally carries a
+    validated invariant density.
     """
 
-    states_are_edges = False
-
-    def __init__(self, graph: Graph, matrix, pi=None, kind="custom", tol: Tolerances = TOL):
+    def __init__(self, graph: Graph, matrix, states: str, density=None,
+                 kind="custom", tol: Tolerances = TOL):
+        if states not in ("nodes", "edges"):
+            raise ChainError(f"chain states must be 'nodes' or 'edges', got {states!r}")
+        unit = states[:-1]
+        n = graph.n if states == "nodes" else graph.m
         P = sp.csr_matrix(matrix, dtype=np.float64)
         P.eliminate_zeros()
-        if P.shape != (graph.n, graph.n):
-            raise ChainError("transition matrix shape does not match node count")
-        _validate_rows(P, tol.row_sum, "node chain")
+        if P.shape != (n, n):
+            raise ChainError(f"transition matrix shape does not match {unit} count")
+        _validate_rows(P, tol.row_sum, f"{unit} chain")
         coo = P.tocoo()
-        for i, j in zip(coo.row.tolist(), coo.col.tolist()):
-            if not graph.has_edge(i, j):
-                raise ChainError(f"transition {i}->{j} is not an edge of the graph")
+        if states == "nodes":
+            for i, j in zip(coo.row.tolist(), coo.col.tolist()):
+                if not graph.has_edge(i, j):
+                    raise ChainError(f"transition {i}->{j} is not an edge of the graph")
+        else:
+            bad = graph.dst[coo.row] != graph.src[coo.col]
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
+                e, f = int(coo.row[k]), int(coo.col[k])
+                raise ChainError(
+                    f"transition between edges {graph.edges[e]} and {graph.edges[f]} "
+                    "does not follow the line graph"
+                )
         self.graph = graph
         self.matrix = P
+        self.states = states
         self.kind = kind
-        self.pi = None if pi is None else _validate_density(P, pi, tol.density_residual, "node chain")
+        self.density = (None if density is None else
+                        _validate_density(P, density, tol.density_residual, f"{unit} chain"))
         self._components: list[np.ndarray] | None = None
 
     @property
@@ -101,56 +122,13 @@ class NodeChain:
         return self.matrix.shape[0]
 
     def state_label(self, s: int) -> str:
-        return self.graph.labels[s]
-
-    def __repr__(self):
-        return f"NodeChain({self.kind}, states={self.n_states})"
-
-
-class EdgeChain:
-    """First-order chain on the directed edges of a graph.
-
-    States are host edge indices. The support must lie within the
-    directed line graph: a transition e -> f needs ter(e) = sou(f).
-    """
-
-    states_are_edges = True
-
-    def __init__(self, graph: Graph, matrix, lg: LineGraphMap | None = None,
-                 pihat=None, kind="custom", tol: Tolerances = TOL):
-        P = sp.csr_matrix(matrix, dtype=np.float64)
-        P.eliminate_zeros()
-        if P.shape != (graph.m, graph.m):
-            raise ChainError("transition matrix shape does not match edge count")
-        _validate_rows(P, tol.row_sum, "edge chain")
-        coo = P.tocoo()
-        dst = graph.dst
-        src = graph.src
-        bad = dst[coo.row] != src[coo.col]
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            e, f = int(coo.row[k]), int(coo.col[k])
-            raise ChainError(
-                f"transition between edges {graph.edges[e]} and {graph.edges[f]} "
-                "does not follow the line graph"
-            )
-        self.graph = graph
-        self.lg = lg if lg is not None else line_graph(graph)
-        self.matrix = P
-        self.kind = kind
-        self.pihat = None if pihat is None else _validate_density(P, pihat, tol.density_residual, "edge chain")
-        self._components: list[np.ndarray] | None = None
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    def state_label(self, s: int) -> str:
+        if self.states == "nodes":
+            return self.graph.labels[s]
         i, j = self.graph.edges[s]
         return f"{self.graph.labels[i]}->{self.graph.labels[j]}"
 
     def __repr__(self):
-        return f"EdgeChain({self.kind}, states={self.n_states})"
+        return f"Chain({self.kind}, {self.states}={self.n_states})"
 
 
 def _require_out_edges(g: Graph):
@@ -161,53 +139,52 @@ def _require_out_edges(g: Graph):
         )
 
 
-def uniform_node_chain(g: Graph, tol: Tolerances = TOL) -> NodeChain:
+def uniform_node_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
     """Classical walk: each out-edge of the current node equally likely."""
     _require_out_edges(g)
     data = 1.0 / g.out_degree[g.src].astype(np.float64)
     P = sp.csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
-    return NodeChain(g, P, kind="uniform", tol=tol)
+    return Chain(g, P, "nodes", kind="uniform", tol=tol)
 
 
-def uniform_edge_chain(g: Graph, tol: Tolerances = TOL) -> EdgeChain:
-    """Edge chain of the classical walk: the memory is carried but unused."""
+def _mixed_edge_chain(g: Graph, alpha: float, kind: str, tol: Tolerances) -> Chain:
+    """Edge chain mixing the classical step (weight alpha) with the
+    never-backtracking step (weight 1 - alpha).
+
+    Builds the line graph once. The never-backtracking probability is
+    zero on backtracking line edges.
+    """
     _require_out_edges(g)
     lg = line_graph(g)
     data = 1.0 / g.out_degree[g.dst[lg.tail]].astype(np.float64)
+    if alpha < 1.0:
+        # per edge (i, j): the continuations (j, k) with k != i
+        denom = g.out_degree[g.dst] - np.bincount(lg.tail[lg.backtracking], minlength=g.m)
+        stuck = np.flatnonzero(denom == 0)
+        if stuck.size:
+            raise DanglingEdgeError([g.edges[int(e)] for e in stuck])
+        nb = np.where(lg.backtracking, 0.0, 1.0 / denom[lg.tail])
+        data = nb if alpha == 0.0 else alpha * data + (1.0 - alpha) * nb
     P = sp.csr_matrix((data, (lg.tail, lg.head)), shape=(g.m, g.m))
-    return EdgeChain(g, P, lg=lg, kind="uniform", tol=tol)
+    return Chain(g, P, "edges", kind=kind, tol=tol)
 
 
-def _nonbacktracking_denominators(g: Graph) -> np.ndarray:
-    """Per edge (i, j): number of continuations (j, k) with k != i."""
-    denom = g.out_degree[g.dst].astype(np.float64)
-    for e, (i, j) in enumerate(g.edges):
-        if g.has_edge(j, i):
-            denom[e] -= 1.0
-    return denom
+def uniform_edge_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
+    """Edge chain of the classical walk: the memory is carried but unused."""
+    return _mixed_edge_chain(g, 1.0, "uniform", tol)
 
 
-def nonbacktracking_edge_chain(g: Graph, tol: Tolerances = TOL) -> EdgeChain:
+def nonbacktracking_edge_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
     """Walk that never reverses the step it just took.
 
     From state (i, j) every edge (j, k) with k != i is equally likely.
     Requires no dangling edges: from a dangling edge only the reversal
     continues, leaving an empty transition row.
     """
-    _require_out_edges(g)
-    lg = line_graph(g)
-    denom = _nonbacktracking_denominators(g)
-    stuck = np.flatnonzero(denom == 0)
-    if stuck.size:
-        raise DanglingEdgeError([g.edges[int(e)] for e in stuck])
-    keep = ~lg.backtracking
-    tails = lg.tail[keep]
-    heads = lg.head[keep]
-    P = sp.csr_matrix((1.0 / denom[tails], (tails, heads)), shape=(g.m, g.m))
-    return EdgeChain(g, P, lg=lg, kind="nonbacktracking", tol=tol)
+    return _mixed_edge_chain(g, 0.0, "nonbacktracking", tol)
 
 
-def downweighted_edge_chain(g: Graph, alpha: float, tol: Tolerances = TOL) -> EdgeChain:
+def downweighted_edge_chain(g: Graph, alpha: float, tol: Tolerances = TOL) -> Chain:
     """Mixture chain: backtracking allowed but downweighted.
 
     ``alpha`` interpolates between the never-backtracking walk (0) and
@@ -215,21 +192,10 @@ def downweighted_edge_chain(g: Graph, alpha: float, tol: Tolerances = TOL) -> Ed
     """
     if not (0.0 <= alpha <= 1.0):
         raise ChainError(f"mixing weight must lie in [0, 1], got {alpha!r}")
-    if alpha == 1.0:
-        chain = uniform_edge_chain(g, tol=tol)
-    elif alpha == 0.0:
-        chain = nonbacktracking_edge_chain(g, tol=tol)
-    else:
-        uni = uniform_edge_chain(g, tol=tol)
-        nbt = nonbacktracking_edge_chain(g, tol=tol)
-        P = (alpha * uni.matrix + (1.0 - alpha) * nbt.matrix).tocsr()
-        P.eliminate_zeros()
-        chain = EdgeChain(g, P, lg=uni.lg, kind=f"downweighted:{alpha:g}", tol=tol)
-    chain.kind = f"downweighted:{alpha:g}"
-    return chain
+    return _mixed_edge_chain(g, alpha, f"downweighted:{alpha:g}", tol)
 
 
-def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> EdgeChain:
+def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> Chain:
     """Build an edge chain from explicit (prev, cur, next) probabilities.
 
     ``probs`` maps node triples (i, j, k) to the probability of
@@ -256,18 +222,19 @@ def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> EdgeChain:
     P = sp.csr_matrix((vals, (rows, cols)), shape=(g.m, g.m))
     P.sum_duplicates()
     sums = np.asarray(P.sum(axis=1)).ravel()
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tol.density_residual)
+    # negated so that a nan sum counts as bad
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.density_residual))
     if bad.size:
         e = int(bad[0])
         raise ChainError(
-            f"probabilities for edge {g.edges[e]} sum to {sums[e]!r}, expected 1"
+            f"probabilities for edge {g.edges[e]} sum to {float(sums[e])!r}, expected 1"
         )
     # renormalize the tiny slack so construction-time row checks pass exactly
     scale = sp.diags(1.0 / sums)
-    return EdgeChain(g, scale @ P, kind="tensor", tol=tol)
+    return Chain(g, scale @ P, "edges", kind="tensor", tol=tol)
 
 
-def transition_tensor(chain: EdgeChain) -> dict[tuple[int, int, int], float]:
+def transition_tensor(chain: Chain) -> dict[tuple[int, int, int], float]:
     """Inverse of ``edge_chain_from_tensor`` on the stored support."""
     g = chain.graph
     coo = chain.matrix.tocoo()
@@ -337,8 +304,7 @@ def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:
     """
     irr, comps = check_irreducible(chain)
     if not irr:
-        what = "edge chain" if chain.states_are_edges else "node chain"
-        raise ReducibleChainError(comps, what=what)
+        raise ReducibleChainError(comps, what=f"{chain.states[:-1]} chain")
     P = chain.matrix
     n = P.shape[0]
     if n == 1:

@@ -557,7 +557,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphFormatError, GraphStructureError, ChainError, SizeCapError,
-            OSError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantViolation, ConvergenceError) as exc:

@@ -1,21 +1,23 @@
 """Serialization: chains on disk, tensor files, CSV and JSON output.
 
 A chain is stored as a Matrix Market file for the transition matrix
-plus a JSON sidecar holding the host graph, the chain kind, and the
-invariant density when known. Numeric output uses a fixed significant
-digit count so repeated runs produce byte-identical files.
+plus a JSON sidecar holding the host graph, the state set ("nodes" or
+"edges"), the chain kind, and the invariant density when known.
+Numeric output uses a fixed significant digit count so repeated runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .chains import EdgeChain, NodeChain
+from .chains import Chain
 from .config import fmt
 from .errors import GraphFormatError
 from .graph import Graph
@@ -36,9 +38,9 @@ def save_chain(chain, base: str) -> tuple[str, str]:
     json_path = base + ".json"
     scipy.io.mmwrite(mtx_path, chain.matrix.tocoo(), precision=17)
     g = chain.graph
-    density = chain.pihat if chain.states_are_edges else chain.pi
+    density = chain.density
     doc = {
-        "states": "edges" if chain.states_are_edges else "nodes",
+        "states": chain.states,
         "kind": chain.kind,
         "n": g.n,
         "edges": [[int(i), int(j)] for i, j in g.edges],
@@ -72,9 +74,7 @@ def load_chain(base: str):
     M = sp.csr_matrix(scipy.io.mmread(mtx_path))
     density = doc.get("density")
     density = None if density is None else np.asarray(density, dtype=np.float64)
-    if doc["states"] == "edges":
-        return EdgeChain(g, M, pihat=density, kind=doc["kind"])
-    return NodeChain(g, M, pi=density, kind=doc["kind"])
+    return Chain(g, M, doc["states"], density=density, kind=doc["kind"])
 
 
 def load_transition_file(stream, g: Graph) -> dict[tuple[int, int, int], float]:
@@ -104,6 +104,8 @@ def load_transition_file(stream, g: Graph) -> dict[tuple[int, int, int], float]:
         try:
             p = float(parts[3])
         except ValueError:
+            p = math.nan
+        if not math.isfinite(p):
             raise GraphFormatError(f"bad probability {parts[3]!r}", line=no)
         key = (i, j, k)
         if key in out:

@@ -24,8 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chains import (
-    EdgeChain,
-    NodeChain,
+    Chain,
+    _validate_density,
     check_irreducible,
     stationary_density,
     uniform_density,
@@ -37,8 +37,6 @@ __all__ = [
     "PullbackData",
     "build_pullback",
     "equilibrium_pullback",
-    "lift_density",
-    "restrict_density",
 ]
 
 
@@ -46,13 +44,13 @@ __all__ = [
 class PullbackData:
     """Equilibrium link between an edge chain and its node chain."""
 
-    chain: EdgeChain
+    chain: Chain                  # on edges
     edge_density: np.ndarray      # invariant density over edges
     node_density: np.ndarray      # induced density over nodes
     arrival_weights: np.ndarray   # per edge: P(arrived along e | now at ter(e))
     lifting: sp.csr_matrix        # nodes x edges, rows sum to 1
     restriction: sp.csr_matrix    # edges x nodes, 0/1 target indicator
-    pullback: NodeChain           # collapsed first-order chain
+    pullback: Chain               # collapsed first-order chain on nodes
     first_transition: np.ndarray  # per edge: P(first step uses e | start at sou(e))
     first_step_matrix: sp.csr_matrix  # nodes x edges, first_transition values
 
@@ -65,16 +63,6 @@ class PullbackData:
         """Collapse a density on edges onto their target nodes."""
         v = np.asarray(edge_density, dtype=np.float64)
         return np.asarray(self.restriction.T @ v).ravel()
-
-
-def lift_density(p: np.ndarray, data: PullbackData) -> np.ndarray:
-    """Spread a density on nodes over their in-edges."""
-    return data.lift(p)
-
-
-def restrict_density(phat: np.ndarray, data: PullbackData) -> np.ndarray:
-    """Collapse a density on edges onto their target nodes."""
-    return data.restrict(phat)
 
 
 def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -90,7 +78,7 @@ def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> n
     return out / sums2[groups]
 
 
-def build_pullback(chain: EdgeChain, pihat: np.ndarray | None = None,
+def build_pullback(chain: Chain, pihat: np.ndarray | None = None,
                    tol: Tolerances = TOL) -> PullbackData:
     """Collapse an edge chain to its equilibrium node chain.
 
@@ -101,16 +89,9 @@ def build_pullback(chain: EdgeChain, pihat: np.ndarray | None = None,
     """
     g = chain.graph
     if pihat is None:
-        pihat = chain.pihat if chain.pihat is not None else stationary_density(chain, tol=tol)
+        pihat = chain.density if chain.density is not None else stationary_density(chain, tol=tol)
     else:
-        pihat = np.asarray(pihat, dtype=np.float64)
-        resid = np.abs(chain.matrix.T @ pihat - pihat).sum()
-        if (pihat <= 0).any() or abs(pihat.sum() - 1.0) > tol.density_residual:
-            raise ChainError("supplied edge density must be positive and sum to 1")
-        if resid > tol.density_residual:
-            raise ChainError(
-                f"supplied edge density is not invariant: residual {resid:.3e}"
-            )
+        pihat = _validate_density(chain.matrix, pihat, tol.density_residual, "supplied edge")
 
     m, n = g.m, g.n
     node_density = np.zeros(n)
@@ -146,7 +127,7 @@ def build_pullback(chain: EdgeChain, pihat: np.ndarray | None = None,
     P = (lifting @ chain.matrix @ restriction).tocsr()
     P.eliminate_zeros()
     node_pi = node_density / node_density.sum()
-    collapsed = NodeChain(g, P, pi=node_pi, kind=f"pullback:{chain.kind}", tol=tol)
+    collapsed = Chain(g, P, "nodes", density=node_pi, kind=f"pullback:{chain.kind}", tol=tol)
 
     irr, _ = check_irreducible(chain)
     if irr:
@@ -169,7 +150,7 @@ def build_pullback(chain: EdgeChain, pihat: np.ndarray | None = None,
     )
 
 
-def equilibrium_pullback(chain: EdgeChain, allow_uniform_fallback: bool = False,
+def equilibrium_pullback(chain: Chain, allow_uniform_fallback: bool = False,
                          tol: Tolerances = TOL) -> PullbackData:
     """Pullback with an automatic density choice.
 

@@ -44,7 +44,7 @@ __all__ = [
 
 
 def _require_edge_chain(chain):
-    if not getattr(chain, "states_are_edges", False):
+    if chain.states != "edges":
         raise ChainError("second-order statistics require a chain on edges")
 
 

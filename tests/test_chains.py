@@ -184,6 +184,13 @@ class TestTensorChain:
         with pytest.raises(ChainError):
             edge_chain_from_tensor(c4, probs)
 
+    @pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (float("inf"), "inf")])
+    def test_non_finite_probability(self, c4, value, shown):
+        probs = transition_tensor(uniform_edge_chain(c4))
+        probs[(0, 1, 2)] = value
+        with pytest.raises(ChainError, match=f"sum to {shown}, expected 1"):
+            edge_chain_from_tensor(c4, probs)
+
 
 class TestIrreducibility:
     def test_nb_c4_reducible(self, c4):
@@ -270,20 +277,43 @@ class TestBistochasticHelpers:
 class TestValidation:
     def test_row_sums_enforced(self, c4):
         import scipy.sparse as sp
-        from walktimes.chains import NodeChain
+        from walktimes.chains import Chain
         bad = sp.csr_matrix(np.array([[0.5, 0.3, 0.0, 0.0],
                                       [0.0, 0.0, 1.0, 0.0],
                                       [0.0, 0.0, 0.0, 1.0],
                                       [1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(ChainError, match="row"):
-            NodeChain(c4, bad)
+            Chain(c4, bad, "nodes")
+
+    def test_row_sum_message_prints_plain_number(self, c4):
+        import scipy.sparse as sp
+        from walktimes.chains import Chain
+        bad = sp.csr_matrix(np.array([[0.0, 0.5, 0.0, 0.25],
+                                      [0.5, 0.0, 0.5, 0.0],
+                                      [0.0, 0.5, 0.0, 0.5],
+                                      [0.5, 0.0, 0.5, 0.0]]))
+        with pytest.raises(ChainError) as exc:
+            Chain(c4, bad, "nodes")
+        assert str(exc.value) == "node chain rows must sum to 1; row 0 sums to 0.75"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, c4, value):
+        import scipy.sparse as sp
+        from walktimes.chains import Chain
+        bad = np.array([[0.0, 0.5, 0.0, 0.5],
+                        [0.5, 0.0, 0.5, 0.0],
+                        [0.0, 0.5, 0.0, 0.5],
+                        [0.5, 0.0, 0.5, 0.0]])
+        bad[1, 2] = value
+        with pytest.raises(ChainError, match="non-finite"):
+            Chain(c4, sp.csr_matrix(bad), "nodes")
 
     def test_support_outside_edges_rejected(self, c4):
         import scipy.sparse as sp
-        from walktimes.chains import NodeChain
+        from walktimes.chains import Chain
         bad = sp.csr_matrix(np.array([[0.0, 0.5, 0.5, 0.0],  # (0,2) not an edge
                                       [0.5, 0.0, 0.5, 0.0],
                                       [0.0, 0.5, 0.0, 0.5],
                                       [0.5, 0.0, 0.5, 0.0]]))
         with pytest.raises(ChainError, match="support|edge"):
-            NodeChain(c4, bad)
+            Chain(c4, bad, "nodes")

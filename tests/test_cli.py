@@ -368,6 +368,41 @@ class TestExitCodes:
                            "--undirected", "--walk", "zigzag")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_data_error_non_finite_probability(self, capsys, c4_file,
+                                               tmp_path, value):
+        # the classical walk on C4, with the step on line 3 made non-finite
+        ring = "abcd"
+        lines = []
+        for x in range(4):
+            for step in (1, -1):
+                j = (x + step) % 4
+                for k in (j + 1, j - 1):
+                    lines.append(f"{ring[x]} {ring[j]} {ring[k % 4]} 0.5")
+        lines[2] = lines[2].replace("0.5", value)
+        tensor = tmp_path / "steps.tsv"
+        tensor.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "return-times", "--input", c4_file,
+                             "--undirected", "--walk", f"tensor:{tensor}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: line 3: bad probability '{value}'\n"
+
+    @pytest.mark.parametrize("walk_file", [False, True])
+    def test_data_error_not_utf8(self, capsys, c4_file, tmp_path, walk_file):
+        binary = tmp_path / "blob.bin"
+        binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+        if walk_file:
+            argv = ("return-times", "--input", c4_file, "--undirected",
+                    "--walk", f"tensor:{binary}")
+        else:
+            argv = ("info", "--input", str(binary))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invariant_failure_maps_to_three(self, capsys, c4_file,
                                              monkeypatch):
         import walktimes.cli as cli

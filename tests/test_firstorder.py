@@ -27,7 +27,7 @@ from walktimes.config import TOL
 def gamblers_ruin(n: int = 6, p: float = 0.5):
     """Birth-death chain on 0..n with absorbing barriers at 0 and n."""
     import scipy.sparse as sp
-    from walktimes.chains import NodeChain
+    from walktimes.chains import Chain
     edges = []
     P = np.zeros((n + 1, n + 1))
     P[0, 0] = 0.0
@@ -44,7 +44,7 @@ def gamblers_ruin(n: int = 6, p: float = 0.5):
     edges.append((0, 1))
     edges.append((n, n - 1))
     g = Graph(n + 1, sorted(set(edges)))
-    return NodeChain(g, sp.csr_matrix(P))
+    return Chain(g, sp.csr_matrix(P), "nodes")
 
 
 class TestHittingProbabilities:

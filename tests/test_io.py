@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from walktimes import (
+    ChainError,
     GraphFormatError,
     edge_chain_from_tensor,
     load_chain,
@@ -25,7 +26,7 @@ class TestChainRoundTrip:
         base = str(tmp_path / "nb_k4")
         mtx, sidecar = save_chain(ch, base)
         back = load_chain(base)
-        assert back.states_are_edges
+        assert back.states == "edges"
         assert back.kind == ch.kind
         assert np.array_equal(back.matrix.toarray(), ch.matrix.toarray())
         assert back.graph.edges == k4.edges
@@ -35,12 +36,40 @@ class TestChainRoundTrip:
         g = oracles.random_undirected(8, 5, 13)
         ch = uniform_node_chain(g)
         pi = stationary_density(ch)
-        ch = type(ch)(g, ch.matrix, pi=pi, kind=ch.kind)
+        ch = type(ch)(g, ch.matrix, "nodes", density=pi, kind=ch.kind)
         base = str(tmp_path / "walk")
         save_chain(ch, base)
         back = load_chain(base)
-        assert not back.states_are_edges
-        assert np.allclose(back.pi, pi, atol=1e-15)
+        assert back.states == "nodes"
+        assert np.allclose(back.density, pi, atol=1e-15)
+
+    def test_tensor_chain_with_density(self, k4, tmp_path):
+        rng = np.random.default_rng(4)
+        probs = {}
+        for i, j in k4.edges:
+            nxt = [k4.edges[f][1] for f in k4.out_edges(j)]
+            w = rng.uniform(0.1, 1.0, len(nxt))
+            probs.update({(i, j, k): p for k, p in zip(nxt, w / w.sum())})
+        ch = edge_chain_from_tensor(k4, probs)
+        ch = type(ch)(k4, ch.matrix, "edges", density=stationary_density(ch), kind=ch.kind)
+        base = str(tmp_path / "tensor_k4")
+        save_chain(ch, base)
+        back = load_chain(base)
+        assert back.states == "edges"
+        assert back.kind == "tensor"
+        assert np.array_equal(back.matrix.toarray(), ch.matrix.toarray())
+        assert np.array_equal(back.density, ch.density)
+
+    def test_unknown_states_rejected(self, c4, tmp_path):
+        base = str(tmp_path / "nb_c4")
+        _, sidecar = save_chain(nonbacktracking_edge_chain(c4), base)
+        with open(sidecar, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["states"] = "arcs"
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ChainError, match="'nodes' or 'edges', got 'arcs'"):
+            load_chain(base)
 
     def test_missing_sidecar(self, tmp_path):
         with pytest.raises(GraphFormatError, match="sidecar"):
@@ -73,6 +102,12 @@ class TestTransitionFile:
     def test_unknown_label(self, c4):
         with pytest.raises(GraphFormatError, match="line 1"):
             load_transition_file("0 1 9 1.0", c4)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_probability(self, c4, text):
+        with pytest.raises(GraphFormatError) as exc:
+            load_transition_file(f"# steps\n0 1 2 0.5\n0 1 0 {text}\n", c4)
+        assert str(exc.value) == f"line 3: bad probability {text!r}"
 
     def test_wrong_field_count(self, c4):
         with pytest.raises(GraphFormatError, match="line 2"):

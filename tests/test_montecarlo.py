@@ -18,11 +18,10 @@ from walktimes import (
     simulate_so_hitting,
     simulate_so_return,
     simulate_so_sweep,
-    so_node_hitting,
-    so_return_times,
     uniform_edge_chain,
     uniform_node_chain,
 )
+from walktimes import secondorder
 
 
 def within(stats, expect, sigmas=3.0):
@@ -124,7 +123,7 @@ class TestAgreementWithAnalytic:
     def test_so_k33_hitting(self, k33):
         ch = nonbacktracking_edge_chain(k33)
         pdata = build_pullback(ch)
-        expect = so_node_hitting(ch, pdata, 4)[0]
+        expect = secondorder.node_hitting_times(ch, pdata, 4)[0]
         stats = simulate_so_hitting(ch, pdata, 0, 4, self.TRIALS, seed=16)
         assert within(stats, expect)
 
@@ -132,10 +131,10 @@ class TestAgreementWithAnalytic:
         ch = downweighted_edge_chain(k33, 0.3)
         pdata = build_pullback(ch)
         per, ret = simulate_so_sweep(ch, pdata, 1, self.TRIALS, seed=17)
-        returns = so_return_times(ch, pdata, range(6))
+        returns = secondorder.return_times(ch, pdata, range(6))
         assert within(ret, returns.per_node[1])
         for k in range(6):
-            expect = so_node_hitting(ch, pdata, k)[1]
+            expect = secondorder.node_hitting_times(ch, pdata, k)[1]
             assert within(per[k], expect)
         assert per[1].mean == 0.0  # the source itself
 

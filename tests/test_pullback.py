@@ -10,9 +10,7 @@ from walktimes import (
     build_pullback,
     downweighted_edge_chain,
     equilibrium_pullback,
-    lift_density,
     nonbacktracking_edge_chain,
-    restrict_density,
     stationary_density,
     uniform_edge_chain,
     uniform_node_chain,
@@ -118,9 +116,9 @@ class TestLiftRestrictOps:
     def test_stationary_round_trip(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.25)
         pdata = build_pullback(ch)
-        lifted = lift_density(pdata.node_density, pdata)
+        lifted = pdata.lift(pdata.node_density)
         assert np.abs(lifted - pdata.edge_density).max() <= 1e-12
-        back = restrict_density(pdata.edge_density, pdata)
+        back = pdata.restrict(pdata.edge_density)
         assert np.abs(back - pdata.node_density).max() <= 1e-15
 
     def test_point_mass_lift_on_c4(self, c4):
@@ -128,7 +126,7 @@ class TestLiftRestrictOps:
         pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
         p = np.zeros(4)
         p[2] = 1.0
-        phat = lift_density(p, pdata)
+        phat = pdata.lift(p)
         for e in c4.in_edges(2):
             assert phat[e] == pytest.approx(0.5, abs=1e-15)
         assert phat.sum() == pytest.approx(1.0, abs=1e-15)
@@ -137,12 +135,12 @@ class TestLiftRestrictOps:
         pdata = build_pullback(uniform_edge_chain(c4))
         phat = np.zeros(8)
         phat[c4.edge_id(0, 1)] = 1.0
-        p = restrict_density(phat, pdata)
+        p = pdata.restrict(phat)
         assert p[1] == 1.0 and p.sum() == 1.0
 
     def test_uniform_k4_lift_is_uniform(self, k4):
         pdata = build_pullback(uniform_edge_chain(k4))
-        phat = lift_density(np.full(4, 0.25), pdata)
+        phat = pdata.lift(np.full(4, 0.25))
         assert np.allclose(phat, np.full(12, 1 / 12), atol=1e-15)
 
     def test_restrict_after_lift_identity(self):
@@ -151,7 +149,7 @@ class TestLiftRestrictOps:
         rng = np.random.default_rng(3)
         p = rng.random(g.n)
         p /= p.sum()
-        assert np.abs(restrict_density(lift_density(p, pdata), pdata) - p).max() <= 1e-15
+        assert np.abs(pdata.restrict(pdata.lift(p)) - p).max() <= 1e-15
 
 
 class TestDirectedPullback:

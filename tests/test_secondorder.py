@@ -18,13 +18,6 @@ from walktimes import (
     is_bistochastic,
     mean_hitting_times,
     nonbacktracking_edge_chain,
-    so_hitting_matrix,
-    so_hitting_probabilities,
-    so_hitting_via_linegraph,
-    so_mean_hitting_times,
-    so_node_hitting,
-    so_random_target,
-    so_return_times,
     uniform_edge_chain,
     uniform_node_chain,
 )
@@ -46,16 +39,16 @@ def edge_masks(g, k):
 class TestSecondOrderHittingProbabilities:
     def test_nb_k4_all_ones(self, k4):
         for k in range(4):
-            phi = so_hitting_probabilities(nonbacktracking_edge_chain(k4), k)
+            phi = secondorder.hitting_probabilities(nonbacktracking_edge_chain(k4), k)
             assert np.allclose(phi, 1.0, atol=1e-12)
 
     def test_nb_c4_deterministic(self, c4):
-        phi = so_hitting_probabilities(nonbacktracking_edge_chain(c4), 2)
+        phi = secondorder.hitting_probabilities(nonbacktracking_edge_chain(c4), 2)
         assert phi[c4.edge_id(0, 1)] == 1.0
 
     def test_boundary_edges_one(self, k33):
         ch = uniform_edge_chain(k33)
-        phi = so_hitting_probabilities(ch, 3)
+        phi = secondorder.hitting_probabilities(ch, 3)
         leaving, entering = edge_masks(k33, 3)
         assert np.all(phi[leaving] == 1.0)
         assert np.all(phi[entering] == 1.0)
@@ -65,7 +58,7 @@ class TestSecondOrderHittingProbabilities:
         ch = uniform_edge_chain(g)
         k = 1
         leaving, entering = edge_masks(g, k)
-        phi = so_hitting_probabilities(ch, k)
+        phi = secondorder.hitting_probabilities(ch, k)
         boundary = np.flatnonzero(leaving | entering)
         expect = oracles.reach_fixed_point(ch.matrix.toarray(), boundary)
         expect[np.flatnonzero(leaving | entering)] = 1.0
@@ -77,14 +70,14 @@ class TestSecondOrderHittingProbabilities:
 class TestSecondOrderMeanHittingTimes:
     def test_nb_c4_frozen(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        sol = so_mean_hitting_times(ch, 2)
+        sol = secondorder.mean_hitting_times(ch, 2)
         assert sol.time[c4.edge_id(0, 1)] == pytest.approx(2.0, abs=1e-12)
         assert sol.time[c4.edge_id(0, 3)] == pytest.approx(2.0, abs=1e-12)
 
     def test_boundary_values(self, k4):
         ch = downweighted_edge_chain(k4, 0.5)
         for k in range(4):
-            sol = so_mean_hitting_times(ch, k)
+            sol = secondorder.mean_hitting_times(ch, k)
             leaving, entering = edge_masks(k4, k)
             assert np.all(sol.time[leaving] == 0.0)
             assert np.all(sol.time[entering & ~leaving] == 1.0)
@@ -93,7 +86,7 @@ class TestSecondOrderMeanHittingTimes:
         ch = nonbacktracking_edge_chain(k33)
         for k in (0, 3):
             leaving, entering = edge_masks(k33, k)
-            sol = so_mean_hitting_times(ch, k)
+            sol = secondorder.mean_hitting_times(ch, k)
             expect = oracles.steps_fixed_point(
                 ch.matrix.toarray(),
                 np.flatnonzero(leaving),
@@ -104,19 +97,19 @@ class TestSecondOrderMeanHittingTimes:
     def test_infinite_entries_flagged(self):
         g = oracles.escape_digraph()
         ch = uniform_edge_chain(g)
-        sol = so_mean_hitting_times(ch, 1)
+        sol = secondorder.mean_hitting_times(ch, 1)
         e34 = g.edge_id(3, 4)
         assert not sol.finite[e34]
         assert np.isinf(sol.time[e34])
         # downstream-cycle edges reach node 4 just fine
-        sol4 = so_mean_hitting_times(ch, 4)
+        sol4 = secondorder.mean_hitting_times(ch, 4)
         assert sol4.finite[e34]
 
 
 class TestLineGraphRoute:
     def test_nb_c4_frozen(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        tau = so_hitting_via_linegraph(ch, 2)
+        tau = secondorder.mean_hitting_times_via_line_graph(ch, 2)
         assert tau[c4.edge_id(0, 1)] == pytest.approx(2.0, abs=1e-12)
         assert tau[c4.edge_id(2, 1)] == 0.0
         assert tau[c4.edge_id(2, 3)] == 0.0
@@ -129,8 +122,8 @@ class TestLineGraphRoute:
                          lambda gg: downweighted_edge_chain(gg, 0.5)):
                 ch = make(g)
                 for k in range(g.n):
-                    direct = so_mean_hitting_times(ch, k).time
-                    via = so_hitting_via_linegraph(ch, k)
+                    direct = secondorder.mean_hitting_times(ch, k).time
+                    via = secondorder.mean_hitting_times_via_line_graph(ch, k)
                     both = np.isfinite(direct) & np.isfinite(via)
                     assert np.array_equal(np.isfinite(direct), np.isfinite(via))
                     assert np.abs(direct[both] - via[both]).max() <= 1e-10
@@ -139,8 +132,8 @@ class TestLineGraphRoute:
         g = oracles.escape_digraph()
         ch = uniform_edge_chain(g)
         for k in range(6):
-            direct = so_mean_hitting_times(ch, k).time
-            via = so_hitting_via_linegraph(ch, k)
+            direct = secondorder.mean_hitting_times(ch, k).time
+            via = secondorder.mean_hitting_times_via_line_graph(ch, k)
             assert np.array_equal(np.isfinite(direct), np.isfinite(via))
             both = np.isfinite(direct)
             assert np.abs(direct[both] - via[both]).max() <= 1e-10
@@ -150,23 +143,23 @@ class TestNodeHitting:
     def test_nb_c4_frozen(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        assert so_node_hitting(ch, pdata, 2)[0] == pytest.approx(2.0, abs=1e-12)
+        assert secondorder.node_hitting_times(ch, pdata, 2)[0] == pytest.approx(2.0, abs=1e-12)
         # to the neighbor: half the walks go straight (1 step), half the
         # long way round (3 steps)
-        assert so_node_hitting(ch, pdata, 1)[0] == pytest.approx(2.0, abs=1e-12)
+        assert secondorder.node_hitting_times(ch, pdata, 1)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_target_node_zero(self, k33):
         ch = uniform_edge_chain(k33)
         pdata = pullback_of(ch)
         for k in range(6):
-            assert so_node_hitting(ch, pdata, k)[k] == 0.0
+            assert secondorder.node_hitting_times(ch, pdata, k)[k] == 0.0
 
     def test_uniform_chain_equals_classical(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
         classical = hitting_matrix(uniform_node_chain(k4)).matrix
         for k in range(4):
-            got = so_node_hitting(ch, pdata, k)
+            got = secondorder.node_hitting_times(ch, pdata, k)
             assert np.abs(got - classical[:, k]).max() <= 1e-8
             assert got[(k + 1) % 4] == pytest.approx(3.0, abs=1e-8)
 
@@ -175,7 +168,7 @@ class TestSecondOrderReturns:
     def test_nb_c4_all_four(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        res = so_return_times(ch, pdata, range(4))
+        res = secondorder.return_times(ch, pdata, range(4))
         assert np.allclose(res.per_node, 4.0, atol=1e-12)
 
     def test_degree_formula_any_alpha(self, petersen):
@@ -183,27 +176,27 @@ class TestSecondOrderReturns:
         for alpha in (0.0, 0.3, 0.7, 1.0):
             ch = downweighted_edge_chain(petersen, alpha)
             pdata = pullback_of(ch)
-            res = so_return_times(ch, pdata, range(10))
+            res = secondorder.return_times(ch, pdata, range(10))
             expect = total / petersen.out_degree.astype(float)
             assert np.abs(res.per_node - expect).max() <= 1e-10
 
     def test_kac_identity(self, k33):
         ch = nonbacktracking_edge_chain(k33)
         pdata = pullback_of(ch)
-        res = so_return_times(ch, pdata, range(6))
+        res = secondorder.return_times(ch, pdata, range(6))
         assert np.abs(res.per_node * pdata.node_density - 1.0).max() <= 1e-10
 
     def test_set_return_reciprocal_mass(self, k4):
         ch = nonbacktracking_edge_chain(k4)
         pdata = pullback_of(ch)
-        res = so_return_times(ch, pdata, [0, 2])
+        res = secondorder.return_times(ch, pdata, [0, 2])
         mass = pdata.node_density[[0, 2]].sum()
         assert res.set_mean == pytest.approx(1.0 / mass, rel=1e-12)
 
     def test_whole_space_one(self, k4):
         ch = downweighted_edge_chain(k4, 0.4)
         pdata = pullback_of(ch)
-        res = so_return_times(ch, pdata, range(4))
+        res = secondorder.return_times(ch, pdata, range(4))
         assert res.set_mean == pytest.approx(1.0, abs=1e-12)
 
 
@@ -212,20 +205,20 @@ class TestSecondOrderHittingMatrix:
         for g in (k4, k33, petersen):
             ch = nonbacktracking_edge_chain(g)
             pdata = pullback_of(ch)
-            res = so_hitting_matrix(ch, pdata, route="both")
+            res = secondorder.hitting_matrix(ch, pdata, route="both")
             assert res.max_route_difference <= 1e-8
             assert np.abs(res.matrix - res.lifted).max() <= 1e-8
 
     def test_zero_diagonal_exact(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.2)
         pdata = pullback_of(ch)
-        res = so_hitting_matrix(ch, pdata, route="aggregated")
+        res = secondorder.hitting_matrix(ch, pdata, route="aggregated")
         assert np.array_equal(np.diag(res.matrix), np.zeros(10))
 
     def test_uniform_equals_classical_matrix(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
-        res = so_hitting_matrix(ch, pdata, route="both")
+        res = secondorder.hitting_matrix(ch, pdata, route="both")
         classical = hitting_matrix(uniform_node_chain(k4)).matrix
         assert np.abs(res.matrix - classical).max() <= 1e-8
         off = res.matrix[~np.eye(4, dtype=bool)]
@@ -234,7 +227,7 @@ class TestSecondOrderHittingMatrix:
     def test_nb_vs_classical_c4(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        walk = so_hitting_matrix(ch, pdata, route="aggregated").matrix
+        walk = secondorder.hitting_matrix(ch, pdata, route="aggregated").matrix
         classical = hitting_matrix(uniform_node_chain(c4)).matrix
         assert walk[0, 2] == pytest.approx(2.0, abs=1e-10)
         assert classical[0, 2] == pytest.approx(4.0, abs=1e-10)
@@ -243,7 +236,7 @@ class TestSecondOrderHittingMatrix:
         g = oracles.random_undirected(12, 10, 33)
         ch = downweighted_edge_chain(g, 0.35)
         pdata = pullback_of(ch)
-        res = so_hitting_matrix(ch, pdata, route="both")
+        res = secondorder.hitting_matrix(ch, pdata, route="both")
         assert res.max_route_difference <= 1e-8
 
     def test_size_cap_on_lifted_route(self, petersen, monkeypatch):
@@ -251,9 +244,9 @@ class TestSecondOrderHittingMatrix:
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
         with pytest.raises(SizeCapError):
-            so_hitting_matrix(ch, pdata, route="lifted", tol=small)
+            secondorder.hitting_matrix(ch, pdata, route="lifted", tol=small)
         # aggregated route ignores the cap on edges
-        res = so_hitting_matrix(ch, pdata, route="aggregated", tol=small)
+        res = secondorder.hitting_matrix(ch, pdata, route="aggregated", tol=small)
         assert res.matrix.shape == (10, 10)
 
 
@@ -261,14 +254,14 @@ class TestRandomTarget:
     def test_k33_uniform_condition_holds(self, k33):
         ch = uniform_edge_chain(k33)
         pdata = pullback_of(ch)
-        kappa, spread, ok = so_random_target(ch, pdata)
+        kappa, spread, ok = secondorder.random_target(ch, pdata)
         assert ok
         assert spread <= 1e-9
 
     def test_k4_uniform_condition_holds(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
-        rt = so_random_target(ch, pdata)
+        rt = secondorder.random_target(ch, pdata)
         assert rt.condition_holds
         assert rt.spread <= 1e-9
         # uniform edge chain behaves classically: kappa = (3/4) * 3
@@ -277,15 +270,15 @@ class TestRandomTarget:
     def test_access_vector_matches_matrix(self, petersen):
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        res = so_hitting_matrix(ch, pdata, route="aggregated")
-        rt = so_random_target(ch, pdata, matrix=res)
+        res = secondorder.hitting_matrix(ch, pdata, route="aggregated")
+        rt = secondorder.random_target(ch, pdata, matrix=res)
         expect = res.matrix @ pdata.node_density
         assert np.allclose(rt.access, expect, atol=1e-12)
 
     def test_vertex_transitive_nb(self, petersen):
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        rt = so_random_target(ch, pdata)
+        rt = secondorder.random_target(ch, pdata)
         assert rt.condition_holds
         assert rt.spread <= 1e-9
 
@@ -326,7 +319,7 @@ class TestReachSolveOnlyOnReducibleChains:
         for ch in self.irreducible_chains(k33, petersen):
             assert check_irreducible(ch)[0]
             for k in range(ch.graph.n):
-                sol = so_mean_hitting_times(ch, k)
+                sol = secondorder.mean_hitting_times(ch, k)
                 leaving, entering = secondorder._boundary_masks(ch, k)
                 reach_time, _, _ = expected_steps(
                     ch.matrix, leaving, entering, assume_sure=False
@@ -338,7 +331,7 @@ class TestReachSolveOnlyOnReducibleChains:
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
         calls = count_splu(monkeypatch)
-        so_hitting_matrix(ch, pdata, route="aggregated")
+        secondorder.hitting_matrix(ch, pdata, route="aggregated")
         assert len(calls) == petersen.n
 
     def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
@@ -357,7 +350,7 @@ class TestReachSolveOnlyOnReducibleChains:
                 assert np.array_equal(np.isinf(sol.time), expect_inf)
                 assert np.all(sol.probability[expect_inf] == 0.0)
             for k in range(g.n):
-                sol = so_mean_hitting_times(ch, k)
+                sol = secondorder.mean_hitting_times(ch, k)
                 leaving, entering = secondorder._boundary_masks(ch, k)
                 reach_time, _, phi = expected_steps(
                     ch.matrix, leaving, entering, assume_sure=False
@@ -368,4 +361,4 @@ class TestReachSolveOnlyOnReducibleChains:
     def test_route_both_on_reducible_chain_fails_fast(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         with pytest.raises(InvariantViolation, match="never reaches"):
-            so_hitting_matrix(ch, pullback_of(ch), route="both")
+            secondorder.hitting_matrix(ch, pullback_of(ch), route="both")
