@@ -68,7 +68,7 @@ from .montecarlo import (
     simulate_so_return,
     simulate_so_sweep,
 )
-from .pullback import PullbackData, build_pullback, equilibrium_pullback
+from .pullback import PullbackData, equilibrium_pullback
 from .secondorder import (
     RandomTargetData,
     SecondOrderHitting,
@@ -132,7 +132,6 @@ __all__ = [
     "simulate_so_return",
     "simulate_so_sweep",
     "PullbackData",
-    "build_pullback",
     "equilibrium_pullback",
     "RandomTargetData",
     "SecondOrderHitting",

@@ -294,6 +294,12 @@ def _power_iteration(P: sp.csr_matrix, tol: float, max_iter: int = 200_000) -> n
     raise ConvergenceError("power iteration did not converge")
 
 
+def _normalized(P: sp.csr_matrix, pi) -> tuple[np.ndarray, float]:
+    pi = np.asarray(pi, dtype=np.float64)
+    pi /= pi.sum()
+    return pi, np.abs(P.T @ pi - pi).sum()
+
+
 def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:
     """Unique invariant probability density of an irreducible chain.
 
@@ -319,19 +325,13 @@ def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:
         try:
             cand = spsolve(M, b)
             if np.all(np.isfinite(cand)):
-                pi = cand
+                pi, resid = _normalized(P, cand)
         except RuntimeError:
             pi = None
-    if pi is None:
-        pi = _power_iteration(P, tol.power_iteration_tol)
-
-    pi = np.asarray(pi, dtype=np.float64)
-    pi /= pi.sum()
-    resid = np.abs(P.T @ pi - pi).sum()
-    if resid > tol.stationary_residual or (pi <= 0).any():
-        pi = _power_iteration(P, tol.power_iteration_tol)
-        pi /= pi.sum()
-        resid = np.abs(P.T @ pi - pi).sum()
+    # power iteration runs at most once: as the fallback of a direct
+    # solve that failed or failed validation, or as the only route
+    if pi is None or resid > tol.stationary_residual or (pi <= 0).any():
+        pi, resid = _normalized(P, _power_iteration(P, tol.power_iteration_tol))
         if resid > tol.stationary_residual or (pi <= 0).any():
             raise ConvergenceError(
                 f"invariant density failed validation: residual {resid:.3e}"

@@ -70,14 +70,15 @@ def _seed(text: str) -> int:
     return n
 
 
-def _add_input_args(p: argparse.ArgumentParser):
+def _add_input_args(p: argparse.ArgumentParser, strip: bool = True):
     p.add_argument("--input", required=True, help="graph file")
     p.add_argument("--format", choices=["edge-list", "matrix-market"],
                    default="edge-list")
     p.add_argument("--undirected", action="store_true",
                    help="treat edges as undirected")
-    p.add_argument("--strip", action="store_true",
-                   help="iteratively drop degree<=1 nodes first (undirected only)")
+    if strip:
+        p.add_argument("--strip", action="store_true",
+                       help="iteratively drop degree<=1 nodes first (undirected only)")
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -111,12 +112,10 @@ def _make_walk(g, spec: str):
     raise GraphFormatError(f"unknown walk kind {spec!r}")
 
 
-def _pullback(chain):
-    # undirected constructions are bistochastic; on reducible supports
-    # (never-backtracking walk on a cycle) fall back to the uniform density
-    return equilibrium_pullback(
-        chain, allow_uniform_fallback=is_bistochastic(chain)
-    )
+def _walk(args):
+    g = _load(args)
+    chain = _make_walk(g, args.walk)
+    return g, chain, equilibrium_pullback(chain)
 
 
 def _emit(args, text: str) -> int:
@@ -126,6 +125,19 @@ def _emit(args, text: str) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _table(args, header, rows, **doc) -> int:
+    """Rows as CSV, or as JSON next to the fields of ``doc``."""
+    if args.json:
+        return _emit(args, json_text({**doc, "columns": header, "rows": rows}))
+    return _emit(args, csv_text(header, rows))
+
+
+def _note(args, line: str) -> None:
+    """A summary line beside CSV output: stdout when the table goes to a file."""
+    if not args.json:
+        (sys.stdout if args.out else sys.stderr).write(line + "\n")
 
 
 def cmd_info(args) -> int:
@@ -162,29 +174,19 @@ def cmd_strip(args) -> int:
             "kept_nodes": h.n,
             "kept_edges": h.undirected_edge_count(),
         }))
+    code = _emit(args, text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        sys.stdout.write(
-            f"removed {len(res.removed)} nodes; kept {h.n} nodes, "
-            f"{h.undirected_edge_count()} edges\n"
-        )
-        return 0
-    return _emit(args, text)
-
-
-def _column_means(T: np.ndarray) -> np.ndarray:
-    return T.mean(axis=0)
+        _note(args, f"removed {len(res.removed)} nodes; kept {h.n} nodes, "
+                    f"{h.undirected_edge_count()} edges")
+    return code
 
 
 def cmd_hitting(args) -> int:
-    g = _load(args)
-    chain = _make_walk(g, args.walk)
-    pdata = _pullback(chain)
+    g, chain, pdata = _walk(args)
     walk_T = so.hitting_matrix(chain, pdata, route="aggregated").matrix
     classical_T = fo.hitting_matrix(uniform_node_chain(g)).matrix
-    mw = _column_means(walk_T)
-    mc = _column_means(classical_T)
+    mw = walk_T.mean(axis=0)
+    mc = classical_T.mean(axis=0)
     nodes = range(g.n)
     if args.target is not None:
         nodes = [g.label_id(args.target)]
@@ -203,37 +205,18 @@ def cmd_hitting(args) -> int:
             with open(f"{args.full}.{name}.csv", "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(csv_text(["source"] + lab, body))
-    if args.json:
-        return _emit(args, json_text({
-            "walk": chain.kind,
-            "columns": header,
-            "rows": rows,
-        }))
-    return _emit(args, csv_text(header, rows))
+    return _table(args, header, rows, walk=chain.kind)
 
 
 def cmd_access(args) -> int:
-    g = _load(args)
-    chain = _make_walk(g, args.walk)
-    pdata = _pullback(chain)
+    g, chain, pdata = _walk(args)
     rt = so.random_target(chain, pdata)
     rows = [[g.labels[i], float(rt.access[i])] for i in range(g.n)]
-    summary = {
-        "kappa": rt.kappa,
-        "spread": rt.spread,
-        "condition_holds": rt.condition_holds,
-    }
-    if args.json:
-        return _emit(args, json_text({
-            "walk": chain.kind, **summary,
-            "columns": ["node", "access_time"], "rows": rows,
-        }))
-    code = _emit(args, csv_text(["node", "access_time"], rows))
-    stream = sys.stdout if args.out else sys.stderr
-    stream.write(
-        f"kappa {fmt(rt.kappa)} spread {fmt(rt.spread)} "
-        f"condition_holds {str(rt.condition_holds).lower()}\n"
-    )
+    code = _table(args, ["node", "access_time"], rows, walk=chain.kind,
+                  kappa=rt.kappa, spread=rt.spread,
+                  condition_holds=rt.condition_holds)
+    _note(args, f"kappa {fmt(rt.kappa)} spread {fmt(rt.spread)} "
+                f"condition_holds {str(rt.condition_holds).lower()}")
     return code
 
 
@@ -248,7 +231,7 @@ def cmd_alpha_sweep(args) -> int:
 
     def column_means(alpha: float) -> np.ndarray:
         chain = downweighted_edge_chain(g, alpha)
-        pdata = _pullback(chain)
+        pdata = equilibrium_pullback(chain)
         T = so.hitting_matrix(chain, pdata, route="aggregated").matrix
         return T.sum(axis=0) / g.n
 
@@ -273,24 +256,16 @@ def cmd_alpha_sweep(args) -> int:
             "ratio_max": float(ratio.max()),
         })
     header = ["alpha", "node", "hitting_mean", "ratio_to_uniform"]
-    if args.json:
-        return _emit(args, json_text(
-            {"columns": header, "rows": rows, "summary": summary}))
-    code = _emit(args, csv_text(header, rows))
-    stream = sys.stdout if args.out else sys.stderr
+    code = _table(args, header, rows, summary=summary)
     for s in summary:
-        stream.write(
-            f"alpha {fmt(s['alpha'])} ratio_min {fmt(s['ratio_min'])} "
-            f"ratio_mean {fmt(s['ratio_mean'])} "
-            f"ratio_max {fmt(s['ratio_max'])}\n"
-        )
+        _note(args, f"alpha {fmt(s['alpha'])} ratio_min {fmt(s['ratio_min'])} "
+                    f"ratio_mean {fmt(s['ratio_mean'])} "
+                    f"ratio_max {fmt(s['ratio_max'])}")
     return code
 
 
 def cmd_return_times(args) -> int:
-    g = _load(args)
-    chain = _make_walk(g, args.walk)
-    pdata = _pullback(chain)
+    g, chain, pdata = _walk(args)
     if args.set:
         nodes = [g.label_id(s) for s in args.set.split(",")]
         res = so.return_times(chain, pdata, nodes)
@@ -299,12 +274,7 @@ def cmd_return_times(args) -> int:
     else:
         res = so.return_times(chain, pdata, range(g.n))
         rows = [[g.labels[k], float(res.per_node[k])] for k in range(g.n)]
-    header = ["node", "return_time"]
-    if args.json:
-        return _emit(args, json_text({
-            "walk": chain.kind, "columns": header, "rows": rows,
-        }))
-    return _emit(args, csv_text(header, rows))
+    return _table(args, ["node", "return_time"], rows, walk=chain.kind)
 
 
 def cmd_simulate(args) -> int:
@@ -325,7 +295,7 @@ def cmd_simulate(args) -> int:
         name = f"hitting {args.source}->{args.target}"
     else:
         chain = _make_walk(g, args.walk)
-        pdata = _pullback(chain)
+        pdata = equilibrium_pullback(chain)
         if args.kind == "hitting":
             target = g.label_id(args.target)
             stats = simulate_so_hitting(chain, pdata, source, target,
@@ -368,13 +338,8 @@ def cmd_validate(args) -> int:
     def record(status, name, detail=""):
         checks.append((status, name, detail))
 
-    try:
-        chain = _make_walk(g, args.walk)
-        record("PASS", "chain-construction",
-               f"{chain.kind}, {chain.n_states} states")
-    except WalkTimesError as exc:
-        record("FAIL", "chain-construction", str(exc))
-        return _finish_validate(args, checks)
+    chain = _make_walk(g, args.walk)
+    record("PASS", "chain-construction", f"{chain.kind}, {chain.n_states} states")
 
     irr, comps = check_irreducible(chain)
     if irr:
@@ -401,7 +366,7 @@ def cmd_validate(args) -> int:
             pihat = stationary_density(chain)
             resid = float(np.abs(chain.matrix.T @ pihat - pihat).sum())
             record("PASS", "invariant-density", f"residual {resid:.3e}")
-            pdata = _pullback(chain)
+            pdata = equilibrium_pullback(chain, pihat=pihat)
             record("PASS", "pullback-identities",
                    "lifting/restriction and balance checks hold")
         except WalkTimesError as exc:
@@ -415,16 +380,15 @@ def cmd_validate(args) -> int:
                 record("PASS", "node-return-identity", f"max deviation {dev:.3e}")
             except WalkTimesError as exc:
                 record("FAIL", "node-return-identity", str(exc))
+            # return_times enforces the set identity against the
+            # edge-level return time to the in-edges of S
             rng = np.random.default_rng(args.seed)
             ok = True
             for _ in range(3):
                 size = int(rng.integers(1, max(2, g.n // 2 + 1)))
                 S = rng.choice(g.n, size=size, replace=False)
                 try:
-                    res = so.return_times(chain, pdata, S)
-                    expected = 1.0 / pdata.node_density[S].sum()
-                    if abs(res.set_mean - expected) > TOL.kac_agreement * expected:
-                        ok = False
+                    so.return_times(chain, pdata, S)
                 except WalkTimesError:
                     ok = False
             record("PASS" if ok else "FAIL", "set-return-identity",
@@ -432,7 +396,7 @@ def cmd_validate(args) -> int:
     elif is_bistochastic(chain):
         record("SKIP", "equilibrium-checks-fallback",
                "uniform edge density available (bistochastic chain)")
-        pdata = _pullback(chain)
+        pdata = equilibrium_pullback(chain)
 
     if pdata is not None:
         rng = np.random.default_rng(args.seed + 1)
@@ -459,10 +423,6 @@ def cmd_validate(args) -> int:
         record("PASS" if ok else "FAIL", "monte-carlo",
                "; ".join(detail) if detail else "deterministic walks")
 
-    return _finish_validate(args, checks)
-
-
-def _finish_validate(args, checks) -> int:
     failed = any(status == "FAIL" for status, _, _ in checks)
     if args.json:
         _emit(args, json_text({
@@ -482,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="hitting and return times of second-order walks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", parents=[], help="node/edge/diameter summary")
-    _add_input_args(p)
+    p = sub.add_parser("info", help="node/edge/diameter summary")
+    _add_input_args(p, strip=False)
     _add_output_args(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("strip", help="remove degree<=1 nodes iteratively")
-    _add_input_args(p)
+    _add_input_args(p, strip=False)
     _add_output_args(p)
     p.set_defaults(func=cmd_strip)
 

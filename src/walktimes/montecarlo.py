@@ -26,6 +26,8 @@ import scipy.sparse as sp
 
 from .config import TOL
 from .errors import ChainError
+from .firstorder import _target_mask
+from .secondorder import _check_node
 
 __all__ = [
     "WalkStats",
@@ -213,7 +215,7 @@ def simulate_so_hitting(chain, pdata, source, target, trials,
     afterwards the edge chain drives the walk. Counts node-process
     steps; ``source == target`` is trivially zero.
     """
-    source, target = int(source), int(target)
+    source, target = _check_node(chain, source), _check_node(chain, target)
     if source == target:
         return WalkStats(0.0, 0.0, int(trials), 0)
     return _first_passage(chain, _first_edges(chain, pdata, source), 1,
@@ -223,7 +225,7 @@ def simulate_so_hitting(chain, pdata, source, target, trials,
 def simulate_so_return(chain, pdata, node, trials,
                        seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from a node back to itself."""
-    node = int(node)
+    node = _check_node(chain, node)
     return _first_passage(chain, _first_edges(chain, pdata, node), 1,
                           chain.graph.dst == node, trials, seed, cap)
 
@@ -238,7 +240,7 @@ def simulate_so_sweep(chain, pdata, source, trials, seed,
     WalkStats). Cheaper than one run per target when all targets are
     wanted.
     """
-    source = int(source)
+    source = _check_node(chain, source)
     n = chain.graph.n
     start = _first_edges(chain, pdata, source)
     sampler = _RowSampler(chain.matrix)
@@ -277,11 +279,12 @@ def simulate_so_sweep(chain, pdata, source, trials, seed,
 def simulate_fo_hitting(chain, source, targets, trials,
                         seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of a first-order chain into a state set."""
+    n = chain.n_states
+    mark = _target_mask(n, targets)
     source = int(source)
-    targets = set(int(s) for s in targets)
-    if source in targets:
+    if not 0 <= source < n:
+        raise ValueError(f"source state {source} out of range for {n} states")
+    if mark[source]:
         return WalkStats(0.0, 0.0, int(trials), 0)
-    mark = np.zeros(chain.n_states, dtype=bool)
-    mark[list(targets)] = True
     return _first_passage(chain, lambda rng, nb: np.full(nb, source, dtype=np.int64),
                           0, mark, trials, seed, cap)

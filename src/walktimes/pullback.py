@@ -14,6 +14,13 @@ The pullback chain is lifting @ edge_matrix @ restriction, and the
 node density is the in-edge mass per node. The same data yields the
 start distribution over first edges: leaving i along (i, j) with
 probability proportional to the invariant mass of (i, j).
+
+``equilibrium_pullback`` is the one constructor, and it picks the
+invariant edge density in one place: a supplied ``pihat``, validated;
+else the chain's own density; else the solved density when the chain
+is irreducible or not bistochastic (a reducible chain that is not
+bistochastic raises ``ReducibleChainError``); else the uniform density
+of a reducible bistochastic chain.
 """
 
 from __future__ import annotations
@@ -27,15 +34,15 @@ from .chains import (
     Chain,
     _validate_density,
     check_irreducible,
+    is_bistochastic,
     stationary_density,
     uniform_density,
 )
 from .config import TOL, Tolerances
-from .errors import ChainError, InvariantViolation, ReducibleChainError
+from .errors import ChainError, InvariantViolation
 
 __all__ = [
     "PullbackData",
-    "build_pullback",
     "equilibrium_pullback",
 ]
 
@@ -78,20 +85,29 @@ def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> n
     return out / sums2[groups]
 
 
-def build_pullback(chain: Chain, pihat: np.ndarray | None = None,
-                   tol: Tolerances = TOL) -> PullbackData:
+def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
+                         tol: Tolerances = TOL) -> PullbackData:
     """Collapse an edge chain to its equilibrium node chain.
 
-    ``pihat`` may supply a validated invariant edge density explicitly;
-    otherwise it is solved for, which requires irreducibility. The
-    identity lifting @ restriction = I and the balance between in- and
-    out-masses per node are enforced.
+    The invariant edge density is, in this order: ``pihat`` when
+    supplied (validated first); the chain's own ``density``; the
+    solved density when the chain is irreducible or not bistochastic
+    (``stationary_density`` raises ``ReducibleChainError`` with the
+    strongly connected components in the second case); otherwise the
+    uniform density, which is invariant for a reducible bistochastic
+    chain such as the never-backtracking walk on an undirected cycle,
+    though not unique. The identity lifting @ restriction = I and the
+    balance between in- and out-masses per node are enforced.
     """
     g = chain.graph
-    if pihat is None:
-        pihat = chain.density if chain.density is not None else stationary_density(chain, tol=tol)
-    else:
+    if pihat is not None:
         pihat = _validate_density(chain.matrix, pihat, tol.density_residual, "supplied edge")
+    elif chain.density is not None:
+        pihat = chain.density
+    elif check_irreducible(chain)[0] or not is_bistochastic(chain, tol):
+        pihat = stationary_density(chain, tol=tol)
+    else:
+        pihat = uniform_density(chain)
 
     m, n = g.m, g.n
     node_density = np.zeros(n)
@@ -149,21 +165,3 @@ def build_pullback(chain: Chain, pihat: np.ndarray | None = None,
         first_step_matrix=first_step,
     )
 
-
-def equilibrium_pullback(chain: Chain, allow_uniform_fallback: bool = False,
-                         tol: Tolerances = TOL) -> PullbackData:
-    """Pullback with an automatic density choice.
-
-    Solves for the invariant density when the chain is irreducible.
-    With ``allow_uniform_fallback`` a reducible but bistochastic chain
-    (the never-backtracking walk on an undirected cycle, for instance)
-    uses the uniform edge density, which is invariant though not
-    unique; otherwise it raises ``ReducibleChainError`` with the
-    strongly connected components.
-    """
-    irr, comps = check_irreducible(chain)
-    if irr:
-        return build_pullback(chain, tol=tol)
-    if allow_uniform_fallback:
-        return build_pullback(chain, pihat=uniform_density(chain), tol=tol)
-    raise ReducibleChainError(comps, what="edge chain")

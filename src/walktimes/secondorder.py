@@ -150,17 +150,13 @@ def mean_hitting_times_via_line_graph(chain, k, tol: Tolerances = TOL) -> np.nda
 
 
 def node_hitting_times(chain, pdata: PullbackData, k,
-                       hitting: SecondOrderHitting | None = None,
                        tol: Tolerances = TOL) -> np.ndarray:
     """Expected steps from each start node to node k.
 
     A start node has not moved yet: average the per-edge times over
     the first-step distribution of its out-edges.
     """
-    _require_edge_chain(chain)
-    k = _check_node(chain, k)
-    if hitting is None:
-        hitting = mean_hitting_times(chain, k, tol=tol)
+    hitting = mean_hitting_times(chain, k, tol=tol)
     return np.asarray(pdata.first_step_matrix @ hitting.time).ravel()
 
 
@@ -188,7 +184,7 @@ def return_times(chain, pdata: PullbackData, S,
         after_step = chain.matrix @ sol.time
         out = np.asarray(g.out_edges(k), dtype=np.int64)
         value = 1.0 + float(pdata.first_transition[out] @ after_step[out])
-        expected = 1.0 / pi[k]
+        expected = float(1.0 / pi[k])
         if abs(value - expected) > tol.return_agreement * max(1.0, expected):
             raise InvariantViolation(
                 f"return time to node {k}: formula gives {value!r}, "

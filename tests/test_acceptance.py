@@ -22,7 +22,6 @@ from walktimes import (
     downweighted_edge_chain,
     equilibrium_pullback,
     firstorder as fo,
-    is_bistochastic,
     nonbacktracking_edge_chain,
     read_graph,
     secondorder as so,
@@ -52,9 +51,7 @@ def shape(g):
 
 
 def pullback_of(chain):
-    return equilibrium_pullback(
-        chain, allow_uniform_fallback=is_bistochastic(chain)
-    )
+    return equilibrium_pullback(chain)
 
 
 def undirected_pairs(g):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from walktimes import (
     ChainError,
+    ConvergenceError,
     DanglingEdgeError,
     ReducibleChainError,
     check_irreducible,
@@ -19,7 +22,9 @@ from walktimes import (
     uniform_edge_chain,
     uniform_node_chain,
 )
+from walktimes import chains
 from walktimes.chains import _power_iteration
+from walktimes.config import TOL
 
 
 class TestUniformNodeChain:
@@ -258,6 +263,20 @@ class TestStationaryDensity:
             direct = stationary_density(ch)
             power = _power_iteration(ch.matrix.tocsr(), 1e-13)
             assert np.allclose(direct, power, atol=1e-10)
+
+    def test_power_iteration_runs_at_most_once(self, k4, monkeypatch):
+        calls = []
+
+        def counted(P, tol):
+            calls.append(tol)
+            return _power_iteration(P, tol)
+        monkeypatch.setattr(chains, "_power_iteration", counted)
+        # power path only, and a residual bound no density can meet
+        tol = dataclasses.replace(TOL, power_iteration_threshold=0,
+                                  stationary_residual=-1.0)
+        with pytest.raises(ConvergenceError, match="failed validation"):
+            stationary_density(uniform_edge_chain(k4), tol=tol)
+        assert len(calls) == 1
 
 
 class TestBistochasticHelpers:

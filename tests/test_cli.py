@@ -302,10 +302,26 @@ class TestValidate:
         names = {c["name"] for c in doc["checks"]}
         assert "edge-time-equivalence" in names
 
+    @pytest.mark.parametrize("walk", ["nb", "dw:0", "dw:0.3"])
+    def test_unsuitable_input_is_an_input_error(self, capsys, path_file, walk):
+        # the same exit code and message as every other subcommand
+        for command in ("validate", "hitting"):
+            code, out, err = run(capsys, command, "--input", path_file,
+                                 "--undirected", "--walk", walk)
+            assert (code, out) == (2, "")
+            assert err == "error: dangling edges present: 1->0, 1->2\n"
+
 
 class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("command", ["info", "strip"])
+    def test_strip_flag_only_where_honoured(self, capsys, c4_file, command):
+        code, out, err = run(capsys, command, "--input", c4_file,
+                             "--undirected", "--strip")
+        assert (code, out) == (1, "")
+        assert err.endswith("walktimes: error: unrecognized arguments: --strip\n")
 
     def test_usage_error_missing_required(self, capsys):
         assert main(["info"]) == 1

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from walktimes import (
-    build_pullback,
     downweighted_edge_chain,
     edge_chain_from_tensor,
     equilibrium_pullback,
@@ -32,14 +31,14 @@ def within(stats, expect, sigmas=3.0):
 class TestDeterminism:
     def test_same_seed_same_stats(self, k4):
         ch = nonbacktracking_edge_chain(k4)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         a = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=7)
         b = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=7)
         assert a == b
 
     def test_different_seed_differs(self, k4):
         ch = nonbacktracking_edge_chain(k4)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         a = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=7)
         b = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=8)
         assert a.mean != b.mean
@@ -48,14 +47,14 @@ class TestDeterminism:
         # totals that do and do not divide the block size must agree on
         # the overlapping substreams; spot-check determinism across sizes
         ch = uniform_edge_chain(k4)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         a = simulate_so_return(ch, pdata, 1, trials=8192 + 100, seed=3)
         b = simulate_so_return(ch, pdata, 1, trials=8192 + 100, seed=3)
         assert a == b
 
     def test_sweep_deterministic(self, k33):
         ch = uniform_edge_chain(k33)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         per_a, ret_a = simulate_so_sweep(ch, pdata, 0, trials=10_000, seed=5)
         per_b, ret_b = simulate_so_sweep(ch, pdata, 0, trials=10_000, seed=5)
         assert ret_a == ret_b
@@ -65,20 +64,20 @@ class TestDeterminism:
 class TestDeterministicWalks:
     def test_nb_c4_hitting_exact(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+        pdata = equilibrium_pullback(ch)
         stats = simulate_so_hitting(ch, pdata, 0, 2, trials=5000, seed=1)
         assert stats.mean == 2.0 and stats.stderr == 0.0
         assert stats.censored == 0
 
     def test_nb_c4_return_exact(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+        pdata = equilibrium_pullback(ch)
         stats = simulate_so_return(ch, pdata, 3, trials=5000, seed=1)
         assert stats.mean == 4.0 and stats.stderr == 0.0
 
     def test_source_equals_target(self, k4):
         ch = uniform_edge_chain(k4)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         stats = simulate_so_hitting(ch, pdata, 2, 2, trials=100, seed=0)
         assert stats.mean == 0.0 and stats.trials == 100
 
@@ -109,27 +108,27 @@ class TestAgreementWithAnalytic:
 
     def test_so_nb_c4_neighbor(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+        pdata = equilibrium_pullback(ch)
         stats = simulate_so_hitting(ch, pdata, 0, 1, self.TRIALS, seed=14)
         assert within(stats, 2.0)
         assert stats.stderr > 0
 
     def test_so_downweighted_c4_return(self, c4):
         ch = downweighted_edge_chain(c4, 0.5)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         stats = simulate_so_return(ch, pdata, 0, self.TRIALS, seed=15)
         assert within(stats, 4.0)
 
     def test_so_k33_hitting(self, k33):
         ch = nonbacktracking_edge_chain(k33)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         expect = secondorder.node_hitting_times(ch, pdata, 4)[0]
         stats = simulate_so_hitting(ch, pdata, 0, 4, self.TRIALS, seed=16)
         assert within(stats, expect)
 
     def test_sweep_matches_analytic(self, k33):
         ch = downweighted_edge_chain(k33, 0.3)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         per, ret = simulate_so_sweep(ch, pdata, 1, self.TRIALS, seed=17)
         returns = secondorder.return_times(ch, pdata, range(6))
         assert within(ret, returns.per_node[1])
@@ -164,7 +163,7 @@ class TestCensoring:
 
     def test_zero_censored_on_easy_chain(self, k4):
         ch = uniform_edge_chain(k4)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         stats = simulate_so_hitting(ch, pdata, 0, 3, trials=20_000, seed=4)
         assert stats.censored == 0
 
@@ -180,10 +179,45 @@ class TestValidation:
         # the population variance is exactly 1 and the standard error
         # at n trials is close to 1/sqrt(n)
         ch = nonbacktracking_edge_chain(c4)
-        pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+        pdata = equilibrium_pullback(ch)
         n = 4096
         stats = simulate_so_hitting(ch, pdata, 0, 1, trials=n, seed=2)
         assert stats.stderr == pytest.approx(1 / math.sqrt(n), rel=0.1)
+
+
+class TestIndexValidation:
+    """Sources and targets are checked like the exact routes check them."""
+
+    @pytest.mark.parametrize("targets", [[-1], [7]])
+    def test_fo_target_out_of_range(self, k4, targets):
+        ch = uniform_node_chain(k4)
+        with pytest.raises(ValueError, match="^target state out of range for 4 states$"):
+            simulate_fo_hitting(ch, 0, targets, 100, seed=0)
+
+    def test_fo_empty_target_set(self, k4):
+        with pytest.raises(ValueError, match="^target set is empty$"):
+            simulate_fo_hitting(uniform_node_chain(k4), 0, [], 100, seed=0)
+
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_fo_source_out_of_range(self, k4, source):
+        with pytest.raises(ValueError, match=f"^source state {source} out of range"):
+            simulate_fo_hitting(uniform_node_chain(k4), source, [1], 100, seed=0)
+
+    @pytest.mark.parametrize("source, target, bad", [(-1, 0, -1), (0, 9, 9), (4, 4, 4)])
+    def test_so_hitting_out_of_range(self, k4, source, target, bad):
+        ch = uniform_edge_chain(k4)
+        pdata = equilibrium_pullback(ch)
+        with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
+            simulate_so_hitting(ch, pdata, source, target, 100, seed=0)
+
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_so_return_and_sweep_out_of_range(self, k4, node):
+        ch = uniform_edge_chain(k4)
+        pdata = equilibrium_pullback(ch)
+        with pytest.raises(ValueError, match=f"^node {node} out of range$"):
+            simulate_so_return(ch, pdata, node, 100, seed=0)
+        with pytest.raises(ValueError, match=f"^node {node} out of range$"):
+            simulate_so_sweep(ch, pdata, node, 100, seed=0)
 
 
 def loop_sample(P, rows, u):
@@ -310,6 +344,6 @@ class TestLoopReference:
                                 (downweighted_edge_chain(g, 0.3), 2, 100),
                                 (uniform_edge_chain(k33), 1, 4),
                                 (uniform_edge_chain(oracles.complete_graph(10)), 3, 100)):
-            pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+            pdata = equilibrium_pullback(ch)
             got = simulate_so_sweep(ch, pdata, source, 300, seed=4, cap=cap)
             assert got == loop_sweep(ch, pdata, source, 300, 4, cap)

@@ -5,11 +5,13 @@ import pytest
 
 import oracles
 from walktimes import (
+    Chain,
     ChainError,
+    Graph,
     ReducibleChainError,
-    build_pullback,
     downweighted_edge_chain,
     equilibrium_pullback,
+    is_bistochastic,
     nonbacktracking_edge_chain,
     stationary_density,
     uniform_edge_chain,
@@ -19,7 +21,7 @@ from walktimes import (
 
 class TestPullbackEqualsUniformWalk:
     def test_nb_k4(self, k4):
-        pdata = build_pullback(nonbacktracking_edge_chain(k4))
+        pdata = equilibrium_pullback(nonbacktracking_edge_chain(k4))
         expect = uniform_node_chain(k4).matrix.toarray()
         got = pdata.pullback.matrix.toarray()
         assert np.abs(got - expect).max() <= 1e-12
@@ -27,7 +29,7 @@ class TestPullbackEqualsUniformWalk:
     def test_uniform_chain_any_undirected(self):
         for seed in range(3):
             g = oracles.random_undirected(10, 8, seed + 60)
-            pdata = build_pullback(uniform_edge_chain(g))
+            pdata = equilibrium_pullback(uniform_edge_chain(g))
             expect = uniform_node_chain(g).matrix.toarray()
             assert np.abs(pdata.pullback.matrix.toarray() - expect).max() <= 1e-12
 
@@ -36,7 +38,7 @@ class TestPullbackEqualsUniformWalk:
         rng = np.random.default_rng(1)
         mats = []
         for alpha in rng.uniform(0.05, 0.95, size=5):
-            pdata = build_pullback(downweighted_edge_chain(petersen, float(alpha)))
+            pdata = equilibrium_pullback(downweighted_edge_chain(petersen, float(alpha)))
             mats.append(pdata.pullback.matrix.toarray())
             assert np.abs(mats[-1] - expect).max() <= 1e-12
         for M in mats[1:]:
@@ -45,17 +47,17 @@ class TestPullbackEqualsUniformWalk:
 
 class TestLiftingRestriction:
     def test_lifting_restriction_identity(self, k33):
-        pdata = build_pullback(uniform_edge_chain(k33))
+        pdata = equilibrium_pullback(uniform_edge_chain(k33))
         LR = (pdata.lifting @ pdata.restriction).toarray()
         assert np.abs(LR - np.eye(k33.n)).max() <= 1e-15
 
     def test_lifting_rows_stochastic(self, petersen):
-        pdata = build_pullback(downweighted_edge_chain(petersen, 0.3))
+        pdata = equilibrium_pullback(downweighted_edge_chain(petersen, 0.3))
         rows = np.asarray(pdata.lifting.sum(axis=1)).ravel()
         assert np.abs(rows - 1.0).max() <= 1e-15
 
     def test_restriction_is_indicator(self, k4):
-        pdata = build_pullback(uniform_edge_chain(k4))
+        pdata = equilibrium_pullback(uniform_edge_chain(k4))
         R = pdata.restriction.toarray()
         for e, (_, j) in enumerate(k4.edges):
             row = np.zeros(k4.n)
@@ -64,7 +66,7 @@ class TestLiftingRestriction:
 
     def test_arrival_weights_group_to_one(self):
         g = oracles.random_digraph(8, 10, 2)
-        pdata = build_pullback(uniform_edge_chain(g))
+        pdata = equilibrium_pullback(uniform_edge_chain(g))
         for i in range(g.n):
             lam = pdata.arrival_weights[list(g.in_edges(i))]
             assert lam.sum() == pytest.approx(1.0, abs=1e-15)
@@ -73,7 +75,7 @@ class TestLiftingRestriction:
 class TestDensities:
     def test_node_density_from_edge_density(self, k33):
         ch = uniform_edge_chain(k33)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         expect = np.zeros(k33.n)
         for e, (_, j) in enumerate(k33.edges):
             expect[j] += pdata.edge_density[e]
@@ -81,7 +83,7 @@ class TestDensities:
 
     def test_node_density_invariant_for_pullback(self):
         g = oracles.random_undirected(9, 6, 4)
-        pdata = build_pullback(downweighted_edge_chain(g, 0.6))
+        pdata = equilibrium_pullback(downweighted_edge_chain(g, 0.6))
         pi = pdata.node_density
         resid = np.abs(pi @ pdata.pullback.matrix - pi).max()
         assert resid <= 1e-10
@@ -90,7 +92,7 @@ class TestDensities:
         # bistochastic edge chain: node density d_i / sum d, first
         # transitions 1 / d_i, arrival weights 1 / d_i
         g = oracles.random_undirected(8, 5, 8)
-        pdata = build_pullback(nonbacktracking_edge_chain(g))
+        pdata = equilibrium_pullback(nonbacktracking_edge_chain(g))
         deg = g.out_degree.astype(float)
         assert np.allclose(pdata.node_density, deg / deg.sum(), atol=1e-12)
         for e, (i, j) in enumerate(g.edges):
@@ -99,13 +101,13 @@ class TestDensities:
 
     def test_first_transition_rows_sum_one(self):
         g = oracles.random_digraph(7, 8, 5)
-        pdata = build_pullback(uniform_edge_chain(g))
+        pdata = equilibrium_pullback(uniform_edge_chain(g))
         for i in range(g.n):
             s = pdata.first_transition[list(g.out_edges(i))].sum()
             assert s == pytest.approx(1.0, abs=1e-12)
 
     def test_first_step_matrix_entries(self, k4):
-        pdata = build_pullback(uniform_edge_chain(k4))
+        pdata = equilibrium_pullback(uniform_edge_chain(k4))
         M = pdata.first_step_matrix.toarray()
         for e, (i, _) in enumerate(k4.edges):
             assert M[i, e] == pdata.first_transition[e]
@@ -115,7 +117,7 @@ class TestDensities:
 class TestLiftRestrictOps:
     def test_stationary_round_trip(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.25)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         lifted = pdata.lift(pdata.node_density)
         assert np.abs(lifted - pdata.edge_density).max() <= 1e-12
         back = pdata.restrict(pdata.edge_density)
@@ -123,7 +125,7 @@ class TestLiftRestrictOps:
 
     def test_point_mass_lift_on_c4(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+        pdata = equilibrium_pullback(ch)
         p = np.zeros(4)
         p[2] = 1.0
         phat = pdata.lift(p)
@@ -132,20 +134,20 @@ class TestLiftRestrictOps:
         assert phat.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_point_mass_restrict(self, c4):
-        pdata = build_pullback(uniform_edge_chain(c4))
+        pdata = equilibrium_pullback(uniform_edge_chain(c4))
         phat = np.zeros(8)
         phat[c4.edge_id(0, 1)] = 1.0
         p = pdata.restrict(phat)
         assert p[1] == 1.0 and p.sum() == 1.0
 
     def test_uniform_k4_lift_is_uniform(self, k4):
-        pdata = build_pullback(uniform_edge_chain(k4))
+        pdata = equilibrium_pullback(uniform_edge_chain(k4))
         phat = pdata.lift(np.full(4, 0.25))
         assert np.allclose(phat, np.full(12, 1 / 12), atol=1e-15)
 
     def test_restrict_after_lift_identity(self):
         g = oracles.random_undirected(7, 6, 9)
-        pdata = build_pullback(uniform_edge_chain(g))
+        pdata = equilibrium_pullback(uniform_edge_chain(g))
         rng = np.random.default_rng(3)
         p = rng.random(g.n)
         p /= p.sum()
@@ -156,7 +158,7 @@ class TestDirectedPullback:
     def test_strongly_connected_digraph(self):
         g = oracles.random_digraph(9, 12, 6)
         ch = uniform_edge_chain(g)
-        pdata = build_pullback(ch)
+        pdata = equilibrium_pullback(ch)
         P = pdata.pullback.matrix
         rows = np.asarray(P.sum(axis=1)).ravel()
         assert np.abs(rows - 1.0).max() <= 1e-12
@@ -167,25 +169,43 @@ class TestDirectedPullback:
 class TestEquilibriumPullback:
     def test_reducible_bistochastic_fallback(self, c4):
         ch = nonbacktracking_edge_chain(c4)
-        pdata = equilibrium_pullback(ch, allow_uniform_fallback=True)
+        pdata = equilibrium_pullback(ch)
         assert np.array_equal(pdata.edge_density, np.full(8, 1 / 8))
 
-    def test_reducible_without_fallback_raises(self, c4):
-        ch = nonbacktracking_edge_chain(c4)
+    def test_reducible_not_bistochastic_raises(self):
+        # the walk can leave {0, 1} for {2, 3} but never come back
+        g = Graph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
+        ch = uniform_edge_chain(g)
+        assert not is_bistochastic(ch)
         with pytest.raises(ReducibleChainError) as got:
             equilibrium_pullback(ch)
         with pytest.raises(ReducibleChainError) as direct:
             stationary_density(ch)
         assert str(got.value) == str(direct.value)
         assert got.value.components == direct.value.components
-        assert len(got.value.components) == 2
+        assert len(got.value.components) == 3
+
+    def test_supplied_density_comes_first(self, c4):
+        # nb on C4 splits into the two directions of travel; any mix of
+        # their uniform densities is invariant
+        ch = nonbacktracking_edge_chain(c4)
+        clockwise = np.isin(np.arange(8), [c4.edge_id(i, (i + 1) % 4) for i in range(4)])
+        pihat = np.where(clockwise, 0.05, 0.2)
+        pdata = equilibrium_pullback(ch, pihat=pihat)
+        assert np.array_equal(pdata.edge_density, pihat)
+        assert np.allclose(pdata.node_density, 0.25, atol=1e-15)
+
+    def test_chain_density_before_solve(self, k4):
+        ch = uniform_edge_chain(k4)
+        own = Chain(k4, ch.matrix, "edges", density=np.full(12, 1 / 12))
+        assert equilibrium_pullback(own).edge_density is own.density
 
     def test_explicit_density_validated(self, k4):
         ch = uniform_edge_chain(k4)
         bad = np.full(12, 1 / 12)
         bad[0] = 0.5  # not invariant, does not even sum to 1
         with pytest.raises(ChainError):
-            build_pullback(ch, pihat=bad)
+            equilibrium_pullback(ch, pihat=bad)
 
     def test_irreducible_always_allowed(self, k4):
         pdata = equilibrium_pullback(nonbacktracking_edge_chain(k4))

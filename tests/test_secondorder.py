@@ -9,13 +9,11 @@ import oracles
 from walktimes import (
     InvariantViolation,
     SizeCapError,
-    build_pullback,
     check_irreducible,
     downweighted_edge_chain,
     edge_chain_from_tensor,
     equilibrium_pullback,
     hitting_matrix,
-    is_bistochastic,
     mean_hitting_times,
     nonbacktracking_edge_chain,
     uniform_edge_chain,
@@ -27,7 +25,7 @@ from walktimes.config import TOL
 
 
 def pullback_of(chain):
-    return equilibrium_pullback(chain, allow_uniform_fallback=is_bistochastic(chain))
+    return equilibrium_pullback(chain)
 
 
 def edge_masks(g, k):
@@ -198,6 +196,14 @@ class TestSecondOrderReturns:
         pdata = pullback_of(ch)
         res = secondorder.return_times(ch, pdata, range(4))
         assert res.set_mean == pytest.approx(1.0, abs=1e-12)
+
+    def test_per_node_message_prints_plain_numbers(self, k4):
+        ch = downweighted_edge_chain(k4, 0.3)
+        tol = dataclasses.replace(TOL, return_agreement=-1.0)
+        with pytest.raises(InvariantViolation,
+                           match=r"^return time to node 0: formula gives [0-9.]+, "
+                                 r"reciprocal mass gives 4\.0$"):
+            secondorder.return_times(ch, pullback_of(ch), [0], tol=tol)
 
 
 class TestSecondOrderHittingMatrix:
