@@ -27,7 +27,7 @@ from .errors import (
     GraphStructureError,
     ReducibleChainError,
 )
-from .graph import Graph, line_graph
+from .graph import Graph, _continuations, dangling_edges, line_graph
 
 __all__ = [
     "Chain",
@@ -132,6 +132,8 @@ class Chain:
 
 
 def _require_out_edges(g: Graph):
+    if g.n == 0:
+        raise GraphStructureError("graph has no nodes")
     sinks = np.flatnonzero(g.out_degree == 0)
     if sinks.size:
         raise GraphStructureError(
@@ -158,12 +160,10 @@ def _mixed_edge_chain(g: Graph, alpha: float, kind: str, tol: Tolerances) -> Cha
     lg = line_graph(g)
     data = 1.0 / g.out_degree[g.dst[lg.tail]].astype(np.float64)
     if alpha < 1.0:
-        # per edge (i, j): the continuations (j, k) with k != i
-        denom = g.out_degree[g.dst] - np.bincount(lg.tail[lg.backtracking], minlength=g.m)
-        stuck = np.flatnonzero(denom == 0)
-        if stuck.size:
-            raise DanglingEdgeError([g.edges[int(e)] for e in stuck])
-        nb = np.where(lg.backtracking, 0.0, 1.0 / denom[lg.tail])
+        stuck = dangling_edges(g)
+        if stuck:
+            raise DanglingEdgeError([g.edges[e] for e in stuck])
+        nb = np.where(lg.backtracking, 0.0, 1.0 / _continuations(g)[lg.tail])
         data = nb if alpha == 0.0 else alpha * data + (1.0 - alpha) * nb
     P = sp.csr_matrix((data, (lg.tail, lg.head)), shape=(g.m, g.m))
     return Chain(g, P, "edges", kind=kind, tol=tol)

@@ -35,7 +35,7 @@ from .errors import (
     WalkTimesError,
 )
 from .graph import diameter, read_graph, strip_leaves
-from .io import csv_text, json_text, load_transition_file
+from .io import csv_text, json_text, load_transition_file, write_csv
 from .montecarlo import simulate_fo_hitting, simulate_so_hitting, simulate_so_return
 from .pullback import equilibrium_pullback
 
@@ -202,9 +202,7 @@ def cmd_hitting(args) -> int:
         lab = [g.labels[j] for j in range(g.n)]
         for name, T in (("classical", classical_T), ("walk", walk_T)):
             body = [[lab[i]] + [float(v) for v in T[i]] for i in range(g.n)]
-            with open(f"{args.full}.{name}.csv", "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write(csv_text(["source"] + lab, body))
+            write_csv(f"{args.full}.{name}.csv", ["source"] + lab, body)
     return _table(args, header, rows, walk=chain.kind)
 
 
@@ -323,11 +321,10 @@ def cmd_simulate(args) -> int:
 
 
 def _max_diff_with_inf(a: np.ndarray, b: np.ndarray) -> float:
-    both_inf = np.isinf(a) & np.isinf(b)
-    if not (np.isinf(a) == np.isinf(b)).all():
+    inf = np.isinf(a)
+    if (inf != np.isinf(b)).any():
         return float("inf")
-    d = np.abs(a - b)
-    d[both_inf] = 0.0
+    d = np.abs(a[~inf] - b[~inf])
     return float(d.max()) if d.size else 0.0
 
 

@@ -125,6 +125,18 @@ def _entry_times(chain, mask, tol) -> np.ndarray:
     return time
 
 
+def _singleton_columns(chain, states, tol) -> np.ndarray:
+    """Column c holds the expected steps to the single state states[c]."""
+    n = chain.n_states
+    cols = np.empty((n, len(states)))
+    mask = np.zeros(n, dtype=bool)
+    for c, k in enumerate(states):
+        mask[k] = True
+        cols[:, c] = _entry_times(chain, mask, tol)
+        mask[k] = False
+    return cols
+
+
 def return_times(chain, S, pi=None, tol: Tolerances = TOL) -> ReturnData:
     """Mean time to come back to the set S, started inside it.
 
@@ -172,12 +184,7 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
         )
     if pi is None:
         pi = stationary_density(chain, tol=tol)
-    T = np.zeros((n, n))
-    mask = np.zeros(n, dtype=bool)
-    for k in range(n):
-        mask[k] = True
-        T[:, k] = _entry_times(chain, mask, tol)
-        mask[k] = False
+    T = _singleton_columns(chain, range(n), tol)
 
     row_means = T @ pi
     kappa = float(row_means.mean())
@@ -227,15 +234,7 @@ def subset_decomposition(chain, S, pi=None, T=None,
             f"decomposition weights sum to {wsum!r}, expected 1"
         )
 
-    if T is not None:
-        cols = T[:, idx]
-    else:
-        cols = np.empty((n, idx.size))
-        single = np.zeros(n, dtype=bool)
-        for c, k in enumerate(idx):
-            single[k] = True
-            cols[:, c] = _entry_times(chain, single, tol)
-            single[k] = False
+    cols = T[:, idx] if T is not None else _singleton_columns(chain, idx, tol)
 
     # the constant, evaluated at every member of S, must not vary
     offsets = cols[idx] @ weights[idx]

@@ -11,7 +11,6 @@ precomputed so shared read access is safe.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,16 @@ __all__ = [
 ]
 
 
+def _group(keys: np.ndarray, n: int):
+    """Edge indices grouped by key, stably, with group offsets and sizes."""
+    order = np.argsort(keys, kind="stable")
+    order.flags.writeable = False
+    sizes = np.bincount(keys, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return order, offsets, sizes
+
+
 class Graph:
     """Directed graph with stable edge indices.
 
@@ -51,18 +60,18 @@ class Graph:
         edges = [(int(i), int(j)) for i, j in edges]
         if n < 0:
             raise GraphStructureError("node count must be nonnegative")
-        seen = set()
-        for i, j in edges:
+        edge_index: dict[tuple[int, int], int] = {}
+        for idx, (i, j) in enumerate(edges):
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphStructureError(f"edge ({i},{j}) out of range for n={n}")
             if i == j:
                 raise GraphStructureError(f"self-loop at node {i}")
-            if (i, j) in seen:
+            if (i, j) in edge_index:
                 raise GraphStructureError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
+            edge_index[(i, j)] = idx
         if undirected:
             for i, j in edges:
-                if (j, i) not in seen:
+                if (j, i) not in edge_index:
                     raise GraphStructureError(
                         f"undirected graph missing reverse of ({i},{j})"
                     )
@@ -77,19 +86,14 @@ class Graph:
         self._edges = tuple(edges)
         self._undirected = bool(undirected)
         self._labels = labels
+        # a duplicated label names its first node
+        self._label_index = {lab: i for i, lab in reversed(list(enumerate(labels)))}
+        self._edge_index = edge_index
         m = len(edges)
         self._src = np.fromiter((i for i, _ in edges), dtype=np.int64, count=m)
         self._dst = np.fromiter((j for _, j in edges), dtype=np.int64, count=m)
-        self._edge_index = {e: idx for idx, e in enumerate(edges)}
-        out = [[] for _ in range(n)]
-        inc = [[] for _ in range(n)]
-        for idx, (i, j) in enumerate(edges):
-            out[i].append(idx)
-            inc[j].append(idx)
-        self._out_edges = tuple(tuple(v) for v in out)
-        self._in_edges = tuple(tuple(v) for v in inc)
-        self._out_degree = np.fromiter((len(v) for v in out), dtype=np.int64, count=n)
-        self._in_degree = np.fromiter((len(v) for v in inc), dtype=np.int64, count=n)
+        self._out_order, self._out_ptr, self._out_degree = _group(self._src, n)
+        self._in_order, self._in_ptr, self._in_degree = _group(self._dst, n)
 
     @property
     def n(self) -> int:
@@ -130,13 +134,13 @@ class Graph:
     def in_degree(self) -> np.ndarray:
         return self._in_degree
 
-    def out_edges(self, i: int) -> tuple[int, ...]:
-        """Indices of edges leaving node i, in edge-index order."""
-        return self._out_edges[i]
+    def out_edges(self, i: int) -> np.ndarray:
+        """Indices of edges leaving node i, in edge-index order (read-only)."""
+        return self._out_order[self._out_ptr[i]:self._out_ptr[i + 1]]
 
-    def in_edges(self, i: int) -> tuple[int, ...]:
-        """Indices of edges entering node i, in edge-index order."""
-        return self._in_edges[i]
+    def in_edges(self, i: int) -> np.ndarray:
+        """Indices of edges entering node i, in edge-index order (read-only)."""
+        return self._in_order[self._in_ptr[i]:self._in_ptr[i + 1]]
 
     def edge_id(self, i: int, j: int) -> int:
         """Index of edge (i, j); KeyError if absent."""
@@ -157,10 +161,10 @@ class Graph:
         return sp.csr_matrix((data, (self._src, self._dst)), shape=(self._n, self._n))
 
     def label_id(self, label: str) -> int:
-        """Node index for an external label; ValueError if unknown."""
+        """Node index for an external label; GraphStructureError if unknown."""
         try:
-            return self._labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except KeyError:
             raise GraphStructureError(f"unknown node label {label!r}") from None
 
     def __repr__(self):
@@ -220,6 +224,13 @@ def _tokenize(stream) -> list[tuple[int, str]]:
     return [(no, line.strip()) for no, line in enumerate(lines, start=1)]
 
 
+def _records(stream):
+    """(line_number, fields) of each line that is not blank or a # or % comment."""
+    for no, line in _tokenize(stream):
+        if line and not line.startswith(("#", "%")):
+            yield no, line.split()
+
+
 def load_edge_list(stream, undirected=False) -> Graph:
     """Parse a whitespace-separated edge list.
 
@@ -242,10 +253,7 @@ def load_edge_list(stream, undirected=False) -> Graph:
             labels.append(tok)
         return ids[tok]
 
-    for no, line in _tokenize(stream):
-        if not line or line.startswith("#") or line.startswith("%"):
-            continue
-        parts = line.split()
+    for no, parts in _records(stream):
         if len(parts) != 2:
             raise GraphFormatError(
                 f"expected two node labels, got {len(parts)}", line=no
@@ -260,7 +268,7 @@ def load_edge_list(stream, undirected=False) -> Graph:
     return Graph(len(labels), edges, undirected=undirected, labels=labels)
 
 
-def load_matrix_market(stream, undirected=None) -> Graph:
+def load_matrix_market(stream, undirected=False) -> Graph:
     """Parse a Matrix Market coordinate pattern file as a graph.
 
     Supports ``matrix coordinate pattern`` with ``general`` or
@@ -305,7 +313,7 @@ def load_matrix_market(stream, undirected=None) -> Graph:
             f"expected {nnz} entries, found {len(entries)}"
         )
 
-    symmetric = symmetry == "symmetric" or bool(undirected)
+    symmetric = symmetry == "symmetric" or undirected
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for no, line in entries:
@@ -333,9 +341,9 @@ def read_graph(path, fmt="edge-list", undirected=False) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "edge-list":
-        return load_edge_list(io.StringIO(text), undirected=undirected)
+        return load_edge_list(text, undirected=undirected)
     if fmt == "matrix-market":
-        return load_matrix_market(io.StringIO(text), undirected=undirected or None)
+        return load_matrix_market(text, undirected=undirected)
     raise GraphFormatError(f"unknown format {fmt!r}")
 
 
@@ -382,21 +390,19 @@ def strip_leaves(g: Graph) -> StripResult:
 
 def line_graph(g: Graph) -> LineGraphMap:
     """Directed line graph: one node per edge, e -> f iff ter(e) = sou(f)."""
-    tails: list[int] = []
-    heads: list[int] = []
-    back: list[bool] = []
-    for e, (i, j) in enumerate(g.edges):
-        for f in g.out_edges(j):
-            k = g.edges[f][1]
-            tails.append(e)
-            heads.append(f)
-            back.append(k == i)
-    return LineGraphMap(
-        host=g,
-        tail=np.asarray(tails, dtype=np.int64),
-        head=np.asarray(heads, dtype=np.int64),
-        backtracking=np.asarray(back, dtype=bool),
-    )
+    # edge e = (i, j) continues along the out-edges of j, in edge-index order
+    counts = g.out_degree[g.dst]
+    tail = np.repeat(np.arange(g.m), counts)
+    offset = np.arange(tail.size) - (np.cumsum(counts) - counts)[tail]
+    head = g._out_order[g._out_ptr[g.dst[tail]] + offset]
+    return LineGraphMap(host=g, tail=tail, head=head,
+                        backtracking=g.dst[head] == g.src[tail])
+
+
+def _continuations(g: Graph) -> np.ndarray:
+    """Per edge (i, j): the number of edges (j, k) with k != i."""
+    reverse = np.isin(g.dst * g.n + g.src, g.src * g.n + g.dst)
+    return g.out_degree[g.dst] - reverse
 
 
 def dangling_edges(g: Graph) -> list[int]:
@@ -405,12 +411,8 @@ def dangling_edges(g: Graph) -> list[int]:
     Edge (i, j) is dangling when node j's single outgoing edge is
     (j, i). A walk that may not backtrack is stuck there.
     """
-    out = []
-    for e, (i, j) in enumerate(g.edges):
-        oe = g.out_edges(j)
-        if len(oe) == 1 and g.edges[oe[0]][1] == i:
-            out.append(e)
-    return out
+    stuck = (_continuations(g) == 0) & (g.out_degree[g.dst] > 0)
+    return np.flatnonzero(stuck).tolist()
 
 
 def diameter(g: Graph) -> int:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .chains import Chain
 from .config import fmt
 from .errors import GraphFormatError
-from .graph import Graph
+from .graph import Graph, _records
 
 __all__ = [
     "save_chain",
@@ -83,16 +83,8 @@ def load_transition_file(stream, g: Graph) -> dict[tuple[int, int, int], float]:
     One entry per line: previous, current, next label and the
     probability. Lines starting with ``#`` or ``%`` are ignored.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
     out: dict[tuple[int, int, int], float] = {}
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("%"):
-            continue
-        parts = line.split()
+    for no, parts in _records(stream):
         if len(parts) != 4:
             raise GraphFormatError(
                 "expected 'prev cur next probability'", line=no

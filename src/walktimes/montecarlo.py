@@ -158,21 +158,16 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _first_edge_cdf(chain, first_transition, source):
-    out = np.asarray(chain.graph.out_edges(source), dtype=np.int64)
+    out = chain.graph.out_edges(source)
     if out.size == 0:
         raise ChainError(f"node {source} has no outgoing edges")
     probs = np.asarray(first_transition, dtype=np.float64)[out]
     return out, np.cumsum(probs / probs.sum())
 
 
-def _first_probs(pdata) -> np.ndarray:
-    # accept the full pullback record or a bare per-edge probability vector
-    return getattr(pdata, "first_transition", pdata)
-
-
 def _first_edges(chain, pdata, source):
     """Draw of each walk's first edge out of ``source``, one uniform per walk."""
-    out, first_cdf = _first_edge_cdf(chain, _first_probs(pdata), source)
+    out, first_cdf = _first_edge_cdf(chain, pdata.first_transition, source)
 
     def draw(rng, nb):
         pick = np.searchsorted(first_cdf, rng.random(nb), side="right")

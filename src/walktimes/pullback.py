@@ -74,14 +74,12 @@ class PullbackData:
 
 def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
     """Scale values so each group sums to one (exactly, in floats)."""
-    sums = np.zeros(n_groups)
-    np.add.at(sums, groups, values)
+    sums = np.bincount(groups, weights=values, minlength=n_groups)
     if (sums[np.bincount(groups, minlength=n_groups) > 0] <= 0).any():
         raise ChainError("density mass vanishes on a nonempty group")
     out = values / sums[groups]
     # second pass squeezes out the last rounding so group sums hit 1.0
-    sums2 = np.zeros(n_groups)
-    np.add.at(sums2, groups, out)
+    sums2 = np.bincount(groups, weights=out, minlength=n_groups)
     return out / sums2[groups]
 
 
@@ -110,15 +108,13 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
         pihat = uniform_density(chain)
 
     m, n = g.m, g.n
-    node_density = np.zeros(n)
-    np.add.at(node_density, g.dst, pihat)
+    node_density = np.bincount(g.dst, weights=pihat, minlength=n)
     if (node_density <= 0).any():
         bad = int(np.flatnonzero(node_density <= 0)[0])
         raise ChainError(f"node {bad} receives no invariant mass")
 
     # out-mass must match in-mass at stationarity
-    out_mass = np.zeros(n)
-    np.add.at(out_mass, g.src, pihat)
+    out_mass = np.bincount(g.src, weights=pihat, minlength=n)
     balance = np.abs(out_mass - node_density).max()
     if balance > tol.inout_balance:
         raise InvariantViolation(

@@ -182,7 +182,7 @@ def return_times(chain, pdata: PullbackData, S,
     for k in nodes:
         sol = mean_hitting_times(chain, k, tol=tol)
         after_step = chain.matrix @ sol.time
-        out = np.asarray(g.out_edges(k), dtype=np.int64)
+        out = g.out_edges(k)
         value = 1.0 + float(pdata.first_transition[out] @ after_step[out])
         expected = float(1.0 / pi[k])
         if abs(value - expected) > tol.return_agreement * max(1.0, expected):
@@ -196,9 +196,7 @@ def return_times(chain, pdata: PullbackData, S,
     set_mean = 1.0 / mass
     # cross-check: the node process returns to S when the edge process
     # returns to the in-edge set of S
-    in_edges = np.concatenate([
-        np.asarray(g.in_edges(k), dtype=np.int64) for k in nodes
-    ])
+    in_edges = np.concatenate([g.in_edges(k) for k in nodes])
     edge_view = fo.return_times(chain, in_edges, pi=pdata.edge_density, tol=tol)
     if abs(edge_view.set_mean - set_mean) > tol.return_agreement * max(1.0, set_mean):
         raise InvariantViolation(
@@ -235,8 +233,7 @@ def hitting_matrix(chain, pdata: PullbackData, route: str = "both",
     if route in ("aggregated", "both"):
         agg = np.empty((n, n))
         for k in range(n):
-            sol = mean_hitting_times(chain, k, tol=tol)
-            agg[:, k] = np.asarray(pdata.first_step_matrix @ sol.time).ravel()
+            agg[:, k] = node_hitting_times(chain, pdata, k, tol=tol)
 
     lifted = None
     if route in ("lifted", "both"):
@@ -288,10 +285,7 @@ def random_target(chain, pdata: PullbackData,
 
     condition = True
     for k in range(g.n):
-        edges = np.asarray(g.in_edges(k), dtype=np.int64)
-        if edges.size == 0:
-            condition = False
-            break
+        edges = g.in_edges(k)
         rd = fo.return_times(chain, edges, pi=pdata.edge_density, tol=tol)
         vals = rd.per_state[edges]
         if vals.max() - vals.min() > tol.access_spread * max(1.0, vals.mean()):

@@ -302,6 +302,16 @@ class TestValidate:
         names = {c["name"] for c in doc["checks"]}
         assert "edge-time-equivalence" in names
 
+    @pytest.mark.filterwarnings("error")
+    def test_unreachable_targets_raise_no_warning(self, capsys, tmp_path):
+        # 0 <-> 1 -> 2 <-> 3: nodes 0 and 1 are unreachable from 2 and 3
+        p = tmp_path / "reducible.edges"
+        p.write_text("0 1\n1 0\n1 2\n2 3\n3 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--input", str(p),
+                             "--walk", "uniform", "--trials", "2000")
+        assert (code, err) == (0, "")
+        assert "PASS edge-time-equivalence: max deviation" in out
+
     @pytest.mark.parametrize("walk", ["nb", "dw:0", "dw:0.3"])
     def test_unsuitable_input_is_an_input_error(self, capsys, path_file, walk):
         # the same exit code and message as every other subcommand
@@ -378,6 +388,14 @@ class TestExitCodes:
                            "--undirected", "--walk", "nb")
         assert code == 2
         assert "dangling" in err
+
+    @pytest.mark.parametrize("command", ["hitting", "access", "return-times",
+                                         "validate", "alpha-sweep"])
+    def test_data_error_graph_strips_to_nothing(self, capsys, path_file, command):
+        code, out, err = run(capsys, command, "--input", path_file,
+                             "--undirected", "--strip")
+        assert (code, out) == (2, "")
+        assert err == "error: graph has no nodes\n"
 
     def test_data_error_bad_walk(self, capsys, c4_file):
         code, _, err = run(capsys, "hitting", "--input", c4_file,

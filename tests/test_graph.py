@@ -79,6 +79,27 @@ class TestGraphConstruction:
         with pytest.raises(GraphStructureError, match="unknown node label"):
             g.label_id("z")
 
+    def test_duplicated_label_names_its_first_node(self):
+        g = Graph(3, [(0, 1), (1, 2)], labels=["x", "y", "x"])
+        assert g.label_id("x") == 0
+        assert g.label_id("y") == 1
+
+    def test_edge_lists_match_loop_reference(self):
+        for seed in range(4):
+            g = oracles.random_digraph(12, 20, seed)
+            for i in range(g.n):
+                out, inc = g.out_edges(i), g.in_edges(i)
+                assert out.dtype == np.int64 and inc.dtype == np.int64
+                assert out.tolist() == [e for e, (a, _) in enumerate(g.edges) if a == i]
+                assert inc.tolist() == [e for e, (_, b) in enumerate(g.edges) if b == i]
+                assert g.out_degree[i] == out.size and g.in_degree[i] == inc.size
+
+    def test_edge_lists_are_read_only(self, k4):
+        with pytest.raises(ValueError, match="read-only"):
+            k4.out_edges(0)[0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            k4.in_edges(0)[0] = 5
+
     def test_undirected_edge_count(self, c4):
         assert c4.undirected_edge_count() == 4
         g = Graph(2, [(0, 1)])
@@ -237,6 +258,12 @@ class TestLineGraph:
         got = set(zip(lg.tail.tolist(), lg.head.tolist(), lg.backtracking.tolist()))
         assert got == set(oracles.line_pairs_oracle(petersen.edges))
 
+    def test_order_matches_enumeration_oracle(self, petersen):
+        for g in [petersen] + [oracles.random_digraph(12, 20, s) for s in range(4)]:
+            lg = line_graph(g)
+            got = list(zip(lg.tail.tolist(), lg.head.tolist(), lg.backtracking.tolist()))
+            assert got == oracles.line_pairs_oracle(g.edges)
+
     def test_count_formula_on_random_digraphs(self):
         for seed in range(4):
             g = oracles.random_digraph(12, 20, seed)
@@ -266,6 +293,26 @@ class TestDanglingEdges:
 
     def test_complete_has_none(self, k4):
         assert dangling_edges(k4) == []
+
+    def test_edge_into_a_sink_is_not_dangling(self):
+        # (1, 0) can only reverse; (1, 2) ends at a sink with no way on
+        g = Graph(3, [(0, 1), (1, 0), (1, 2)])
+        assert dangling_edges(g) == [g.edge_id(1, 0)]
+
+    def test_matches_loop_reference(self):
+        graphs = []
+        for seed in range(6):
+            # random arcs without a spanning cycle, so sinks and
+            # one-way dead ends occur
+            rng = np.random.default_rng(seed)
+            arcs = {(int(a), int(b)) for a, b in rng.integers(8, size=(14, 2)) if a != b}
+            graphs.append(Graph(8, sorted(arcs)))
+            graphs.append(oracles.pendant_decorated(
+                oracles.random_undirected(10, 4, seed), 4, seed))
+        for g in graphs:
+            expect = [e for e, (i, j) in enumerate(g.edges)
+                      if [g.edges[f][1] for f in g.out_edges(j)] == [i]]
+            assert dangling_edges(g) == expect
 
 
 class TestDiameter:

@@ -238,7 +238,7 @@ def loop_sweep(chain, pdata, source, trials, seed, cap):
     """Reference sweep: one walk at a time on the same random streams."""
     from walktimes import montecarlo as mc
     n = chain.graph.n
-    out, first_cdf = mc._first_edge_cdf(chain, mc._first_probs(pdata), source)
+    out, first_cdf = mc._first_edge_cdf(chain, pdata.first_transition, source)
     dst = chain.graph.dst
     accs = [mc._Accumulator() for _ in range(n + 1)]
     for b, nb in enumerate(mc._block_sizes(trials)):

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from walktimes import (
+    Graph,
     InvariantViolation,
     SizeCapError,
     check_irreducible,
@@ -368,3 +369,46 @@ class TestReachSolveOnlyOnReducibleChains:
         ch = nonbacktracking_edge_chain(c4)
         with pytest.raises(InvariantViolation, match="never reaches"):
             secondorder.hitting_matrix(ch, pullback_of(ch), route="both")
+
+
+class TestIterativeFallback:
+    """Every direct solve rejected: the monotone iteration must give the same times."""
+
+    def test_matches_direct_solve(self, c4, k4, monkeypatch):
+        import walktimes._solvers as solvers
+        calls = []
+        real = solvers._iterate_affine
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_iterate_affine", counted)
+        forced = dataclasses.replace(TOL, direct_solve_residual=-1.0)
+
+        def times(ch, tol):
+            # node targets of the walk, and single edge states of its chain
+            nodes = [secondorder.mean_hitting_times(ch, k, tol=tol).time
+                     for k in range(ch.graph.n)]
+            states = [mean_hitting_times(ch, [e], tol=tol).time
+                      for e in range(ch.n_states)]
+            return np.concatenate(nodes + states)
+
+        for ch in (nonbacktracking_edge_chain(c4), uniform_edge_chain(k4)):
+            direct = times(ch, TOL)
+            calls.clear()
+            fallback = times(ch, forced)
+            assert calls
+            inf = np.isinf(direct)
+            assert np.array_equal(inf, np.isinf(fallback))
+            assert np.allclose(fallback[~inf], direct[~inf], rtol=1e-9, atol=0)
+
+
+class TestTargetWithoutInEdges:
+    def test_both_routes_unreachable(self):
+        # node 0 has no in-edges: only the edge leaving it is already there
+        g = Graph(3, [(0, 1), (1, 2), (2, 1)])
+        ch = uniform_edge_chain(g)
+        expect = [0.0, np.inf, np.inf]
+        assert secondorder.mean_hitting_times(ch, 0).time.tolist() == expect
+        assert secondorder.mean_hitting_times_via_line_graph(ch, 0).tolist() == expect
