@@ -69,12 +69,7 @@ from .montecarlo import (
     simulate_so_sweep,
 )
 from .pullback import PullbackData, equilibrium_pullback
-from .secondorder import (
-    RandomTargetData,
-    SecondOrderHitting,
-    SecondOrderMatrix,
-    SecondOrderReturn,
-)
+from .secondorder import RandomTargetData, SecondOrderMatrix
 
 __version__ = "0.1.0"
 
@@ -134,7 +129,5 @@ __all__ = [
     "PullbackData",
     "equilibrium_pullback",
     "RandomTargetData",
-    "SecondOrderHitting",
     "SecondOrderMatrix",
-    "SecondOrderReturn",
 ]

@@ -131,6 +131,11 @@ class Chain:
         return f"Chain({self.kind}, {self.states}={self.n_states})"
 
 
+def _require_edge_chain(chain):
+    if chain.states != "edges":
+        raise ChainError("second-order statistics require a chain on edges")
+
+
 def _require_out_edges(g: Graph):
     if g.n == 0:
         raise GraphStructureError("graph has no nodes")
@@ -206,18 +211,21 @@ def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> Chain:
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
+    edge_id = g._edge_index.get
     for (i, j, k), p in probs.items():
         p = float(p)
         if p < 0:
             raise ChainError(f"negative probability for triple ({i},{j},{k})")
         if p == 0.0:
             continue
-        if not g.has_edge(i, j):
+        e = edge_id((i, j))
+        if e is None:
             raise ChainError(f"triple ({i},{j},{k}) starts outside the edge set")
-        if not g.has_edge(j, k):
+        f = edge_id((j, k))
+        if f is None:
             raise ChainError(f"triple ({i},{j},{k}) ends outside the edge set")
-        rows.append(g.edge_id(i, j))
-        cols.append(g.edge_id(j, k))
+        rows.append(e)
+        cols.append(f)
         vals.append(p)
     P = sp.csr_matrix((vals, (rows, cols)), shape=(g.m, g.m))
     P.sum_duplicates()

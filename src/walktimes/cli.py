@@ -114,8 +114,7 @@ def _make_walk(g, spec: str):
 
 def _walk(args):
     g = _load(args)
-    chain = _make_walk(g, args.walk)
-    return g, chain, equilibrium_pullback(chain)
+    return g, equilibrium_pullback(_make_walk(g, args.walk))
 
 
 def _emit(args, text: str) -> int:
@@ -182,8 +181,8 @@ def cmd_strip(args) -> int:
 
 
 def cmd_hitting(args) -> int:
-    g, chain, pdata = _walk(args)
-    walk_T = so.hitting_matrix(chain, pdata, route="aggregated").matrix
+    g, pdata = _walk(args)
+    walk_T = so.hitting_matrix(pdata, route="aggregated").matrix
     classical_T = fo.hitting_matrix(uniform_node_chain(g)).matrix
     mw = walk_T.mean(axis=0)
     mc = classical_T.mean(axis=0)
@@ -203,14 +202,14 @@ def cmd_hitting(args) -> int:
         for name, T in (("classical", classical_T), ("walk", walk_T)):
             body = [[lab[i]] + [float(v) for v in T[i]] for i in range(g.n)]
             write_csv(f"{args.full}.{name}.csv", ["source"] + lab, body)
-    return _table(args, header, rows, walk=chain.kind)
+    return _table(args, header, rows, walk=pdata.chain.kind)
 
 
 def cmd_access(args) -> int:
-    g, chain, pdata = _walk(args)
-    rt = so.random_target(chain, pdata)
+    g, pdata = _walk(args)
+    rt = so.random_target(pdata)
     rows = [[g.labels[i], float(rt.access[i])] for i in range(g.n)]
-    code = _table(args, ["node", "access_time"], rows, walk=chain.kind,
+    code = _table(args, ["node", "access_time"], rows, walk=pdata.chain.kind,
                   kappa=rt.kappa, spread=rt.spread,
                   condition_holds=rt.condition_holds)
     _note(args, f"kappa {fmt(rt.kappa)} spread {fmt(rt.spread)} "
@@ -228,9 +227,8 @@ def cmd_alpha_sweep(args) -> int:
         raise GraphFormatError("alpha grid is empty")
 
     def column_means(alpha: float) -> np.ndarray:
-        chain = downweighted_edge_chain(g, alpha)
-        pdata = equilibrium_pullback(chain)
-        T = so.hitting_matrix(chain, pdata, route="aggregated").matrix
+        pdata = equilibrium_pullback(downweighted_edge_chain(g, alpha))
+        T = so.hitting_matrix(pdata, route="aggregated").matrix
         return T.sum(axis=0) / g.n
 
     means = {}
@@ -263,16 +261,16 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_return_times(args) -> int:
-    g, chain, pdata = _walk(args)
-    if args.set:
+    g, pdata = _walk(args)
+    if args.set is not None:
         nodes = [g.label_id(s) for s in args.set.split(",")]
-        res = so.return_times(chain, pdata, nodes)
-        rows = [[g.labels[k], float(res.per_node[k])] for k in sorted(set(nodes))]
+        res = so.return_times(pdata, nodes)
+        rows = [[g.labels[k], float(res.per_state[k])] for k in sorted(set(nodes))]
         rows.append(["set", float(res.set_mean)])
     else:
-        res = so.return_times(chain, pdata, range(g.n))
-        rows = [[g.labels[k], float(res.per_node[k])] for k in range(g.n)]
-    return _table(args, ["node", "return_time"], rows, walk=chain.kind)
+        res = so.return_times(pdata, range(g.n))
+        rows = [[g.labels[k], float(res.per_state[k])] for k in range(g.n)]
+    return _table(args, ["node", "return_time"], rows, walk=pdata.chain.kind)
 
 
 def cmd_simulate(args) -> int:
@@ -292,19 +290,17 @@ def cmd_simulate(args) -> int:
         analytic = float(fo.mean_hitting_times(chain, [target]).time[source])
         name = f"hitting {args.source}->{args.target}"
     else:
-        chain = _make_walk(g, args.walk)
-        pdata = equilibrium_pullback(chain)
+        pdata = equilibrium_pullback(_make_walk(g, args.walk))
         if args.kind == "hitting":
             target = g.label_id(args.target)
-            stats = simulate_so_hitting(chain, pdata, source, target,
+            stats = simulate_so_hitting(pdata, source, target,
                                         args.trials, seed=args.seed, cap=args.cap)
-            analytic = float(so.node_hitting_times(chain, pdata, target)[source])
+            analytic = float(so.node_hitting_times(pdata, target)[source])
             name = f"hitting {args.source}->{args.target}"
         else:
-            stats = simulate_so_return(chain, pdata, source, args.trials,
+            stats = simulate_so_return(pdata, source, args.trials,
                                        seed=args.seed, cap=args.cap)
-            analytic = float(so.return_times(chain, pdata, [source])
-                             .per_node[source])
+            analytic = float(so.return_times(pdata, [source]).per_state[source])
             name = f"return {args.source}"
     z = ""
     if stats.stderr > 0 and np.isfinite(analytic):
@@ -370,9 +366,9 @@ def cmd_validate(args) -> int:
             record("FAIL", "equilibrium", str(exc))
         if pdata is not None:
             try:
-                res = so.return_times(chain, pdata, range(g.n))
+                res = so.return_times(pdata, range(g.n))
                 dev = float(np.abs(
-                    res.per_node * pdata.node_density - 1.0
+                    res.per_state * pdata.node_density - 1.0
                 ).max())
                 record("PASS", "node-return-identity", f"max deviation {dev:.3e}")
             except WalkTimesError as exc:
@@ -385,7 +381,7 @@ def cmd_validate(args) -> int:
                 size = int(rng.integers(1, max(2, g.n // 2 + 1)))
                 S = rng.choice(g.n, size=size, replace=False)
                 try:
-                    so.return_times(chain, pdata, S)
+                    so.return_times(pdata, S)
                 except WalkTimesError:
                     ok = False
             record("PASS" if ok else "FAIL", "set-return-identity",
@@ -405,10 +401,10 @@ def cmd_validate(args) -> int:
         ok = True
         detail = []
         for i, k in pairs:
-            analytic = float(so.node_hitting_times(chain, pdata, k)[i])
+            analytic = float(so.node_hitting_times(pdata, k)[i])
             if not np.isfinite(analytic):
                 continue
-            stats = simulate_so_hitting(chain, pdata, i, k, args.trials,
+            stats = simulate_so_hitting(pdata, i, k, args.trials,
                                         seed=args.seed, cap=args.cap)
             if stats.stderr > 0:
                 z = abs(stats.mean - analytic) / stats.stderr

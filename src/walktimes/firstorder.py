@@ -50,7 +50,12 @@ def _target_mask(n: int, S) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HittingSolution:
-    """Per-state reach probabilities and expected times into a set."""
+    """Per-state reach probabilities and expected times into a set.
+
+    First order: ``target`` lists the target states. Second order
+    (``secondorder.mean_hitting_times``): the states are edges and
+    ``target`` is ``(k,)``, the node the walk must visit.
+    """
 
     target: tuple[int, ...]
     probability: np.ndarray   # chance of ever entering the target
@@ -60,7 +65,12 @@ class HittingSolution:
 
 @dataclass(frozen=True)
 class ReturnData:
-    """Mean return times to a set, with the reciprocal-mass identity."""
+    """Mean return times to a set, with the reciprocal-mass identity.
+
+    First order: ``target`` and ``per_state`` index the chain's states.
+    Second order (``secondorder.return_times``): both index graph
+    nodes, and ``per_state`` holds one entry per node.
+    """
 
     target: tuple[int, ...]
     per_state: np.ndarray     # mean return time from each target state, 0 elsewhere

@@ -157,17 +157,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block))
 
 
-def _first_edge_cdf(chain, first_transition, source):
-    out = chain.graph.out_edges(source)
+def _first_edges(pdata, source):
+    """Draw of each walk's first edge out of ``source``, one uniform per walk."""
+    out = pdata.chain.graph.out_edges(source)
     if out.size == 0:
         raise ChainError(f"node {source} has no outgoing edges")
-    probs = np.asarray(first_transition, dtype=np.float64)[out]
-    return out, np.cumsum(probs / probs.sum())
-
-
-def _first_edges(chain, pdata, source):
-    """Draw of each walk's first edge out of ``source``, one uniform per walk."""
-    out, first_cdf = _first_edge_cdf(chain, pdata.first_transition, source)
+    probs = pdata.first_transition[out]
+    first_cdf = np.cumsum(probs / probs.sum())
 
     def draw(rng, nb):
         pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
@@ -202,30 +198,32 @@ def _first_passage(chain, start, t0, stop, trials, seed, cap) -> WalkStats:
     return acc.stats()
 
 
-def simulate_so_hitting(chain, pdata, source, target, trials,
+def simulate_so_hitting(pdata, source, target, trials,
                         seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from one node to another.
 
-    The first step leaves ``source`` along the start distribution;
-    afterwards the edge chain drives the walk. Counts node-process
-    steps; ``source == target`` is trivially zero.
+    The first step leaves ``source`` along the start distribution of
+    ``pdata``; afterwards its edge chain drives the walk. Counts
+    node-process steps; ``source == target`` is trivially zero.
     """
+    chain = pdata.chain
     source, target = _check_node(chain, source), _check_node(chain, target)
     if source == target:
         return WalkStats(0.0, 0.0, int(trials), 0)
-    return _first_passage(chain, _first_edges(chain, pdata, source), 1,
+    return _first_passage(chain, _first_edges(pdata, source), 1,
                           chain.graph.dst == target, trials, seed, cap)
 
 
-def simulate_so_return(chain, pdata, node, trials,
+def simulate_so_return(pdata, node, trials,
                        seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from a node back to itself."""
+    chain = pdata.chain
     node = _check_node(chain, node)
-    return _first_passage(chain, _first_edges(chain, pdata, node), 1,
+    return _first_passage(chain, _first_edges(pdata, node), 1,
                           chain.graph.dst == node, trials, seed, cap)
 
 
-def simulate_so_sweep(chain, pdata, source, trials, seed,
+def simulate_so_sweep(pdata, source, trials, seed,
                       cap: int = TOL.simulation_step_cap):
     """One batch of walks measuring everything at once from a source.
 
@@ -235,9 +233,10 @@ def simulate_so_sweep(chain, pdata, source, trials, seed,
     WalkStats). Cheaper than one run per target when all targets are
     wanted.
     """
+    chain = pdata.chain
     source = _check_node(chain, source)
     n = chain.graph.n
-    start = _first_edges(chain, pdata, source)
+    start = _first_edges(pdata, source)
     sampler = _RowSampler(chain.matrix)
     # column of the node each edge enters; entering the source fills
     # the extra column n, which holds the first return

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from .chains import (
     Chain,
+    _require_edge_chain,
     _validate_density,
     check_irreducible,
     is_bistochastic,
@@ -95,8 +96,10 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     uniform density, which is invariant for a reducible bistochastic
     chain such as the never-backtracking walk on an undirected cycle,
     though not unique. The identity lifting @ restriction = I and the
-    balance between in- and out-masses per node are enforced.
+    balance between in- and out-masses per node are enforced. A chain
+    on nodes raises ``ChainError``.
     """
+    _require_edge_chain(chain)
     g = chain.graph
     if pihat is not None:
         pihat = _validate_density(chain.matrix, pihat, tol.density_residual, "supplied edge")

@@ -14,6 +14,11 @@ plain first-order chain on edges, takes hitting times of the in-edge
 set of k, and shifts by one step. Their agreement is a standing
 cross-check; so is the equality of node return times with reciprocal
 invariant mass.
+
+Edge-level functions take the edge chain. Node-level ones (start-node
+hitting times, return times, the hitting matrix, the random target)
+take the walk's ``PullbackData``, which carries the chain along with
+the equilibrium weights they average over.
 """
 
 from __future__ import annotations
@@ -24,13 +29,12 @@ import numpy as np
 
 from . import firstorder as fo
 from ._solvers import chain_steps, reach_probabilities
+from .chains import _require_edge_chain
 from .config import TOL, Tolerances
-from .errors import ChainError, InvariantViolation
+from .errors import InvariantViolation
 from .pullback import PullbackData
 
 __all__ = [
-    "SecondOrderHitting",
-    "SecondOrderReturn",
     "SecondOrderMatrix",
     "RandomTargetData",
     "hitting_probabilities",
@@ -43,36 +47,11 @@ __all__ = [
 ]
 
 
-def _require_edge_chain(chain):
-    if chain.states != "edges":
-        raise ChainError("second-order statistics require a chain on edges")
-
-
 def _check_node(chain, k) -> int:
     k = int(k)
     if not (0 <= k < chain.graph.n):
         raise ValueError(f"node {k} out of range")
     return k
-
-
-@dataclass(frozen=True)
-class SecondOrderHitting:
-    """Per-edge statistics of reaching one node."""
-
-    target: int
-    probability: np.ndarray  # per edge: chance the walk ever visits the target
-    time: np.ndarray         # per edge: expected steps, inf where divergent
-    finite: np.ndarray       # bool mask for finite times
-
-
-@dataclass(frozen=True)
-class SecondOrderReturn:
-    """Mean return times of the node process."""
-
-    target: tuple[int, ...]
-    per_node: np.ndarray     # mean return time per target node, 0 elsewhere
-    set_mean: float          # mean return time to the set
-    density_mass: float      # invariant node mass of the set
 
 
 @dataclass(frozen=True)
@@ -86,19 +65,12 @@ class SecondOrderMatrix:
 
 @dataclass(frozen=True)
 class RandomTargetData:
-    """Expected time to a density-drawn random target, per start node.
-
-    Unpacks as (kappa, spread, condition_holds); the per-node access
-    times ride along in ``access``.
-    """
+    """Expected time to a density-drawn random target, per start node."""
 
     kappa: float             # mean access time over start nodes
     spread: float            # relative spread of access times over start nodes
     condition_holds: bool    # per-node in-edge return times are constant
     access: np.ndarray       # access time per start node
-
-    def __iter__(self):
-        return iter((self.kappa, self.spread, self.condition_holds))
 
 
 def _boundary_masks(chain, k):
@@ -114,17 +86,18 @@ def hitting_probabilities(chain, k, tol: Tolerances = TOL) -> np.ndarray:
     return reach_probabilities(chain.matrix, leaving | entering, tol=tol)
 
 
-def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> SecondOrderHitting:
+def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> fo.HittingSolution:
     """Expected steps until the walk visits node k, per starting edge.
 
     Edges leaving k count as already there (0); edges entering k take
-    exactly one step of the node process (1).
+    exactly one step of the node process (1). The result's ``target``
+    is ``(k,)``.
     """
     _require_edge_chain(chain)
     k = _check_node(chain, k)
     leaving, entering = _boundary_masks(chain, k)
     time, finite, phi = chain_steps(chain, leaving, entering, tol=tol)
-    return SecondOrderHitting(target=k, probability=phi, time=time, finite=finite)
+    return fo.HittingSolution(target=(k,), probability=phi, time=time, finite=finite)
 
 
 def mean_hitting_times_via_line_graph(chain, k, tol: Tolerances = TOL) -> np.ndarray:
@@ -149,28 +122,26 @@ def mean_hitting_times_via_line_graph(chain, k, tol: Tolerances = TOL) -> np.nda
     return time
 
 
-def node_hitting_times(chain, pdata: PullbackData, k,
-                       tol: Tolerances = TOL) -> np.ndarray:
+def node_hitting_times(pdata: PullbackData, k, tol: Tolerances = TOL) -> np.ndarray:
     """Expected steps from each start node to node k.
 
     A start node has not moved yet: average the per-edge times over
     the first-step distribution of its out-edges.
     """
-    hitting = mean_hitting_times(chain, k, tol=tol)
+    hitting = mean_hitting_times(pdata.chain, k, tol=tol)
     return np.asarray(pdata.first_step_matrix @ hitting.time).ravel()
 
 
-def return_times(chain, pdata: PullbackData, S,
-                 tol: Tolerances = TOL) -> SecondOrderReturn:
+def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData:
     """Mean return times of the node process to each node of S and to S.
 
     Per node: leave along the first-step distribution, take one step,
     then hit the node from the resulting edge. The result must match
     the reciprocal invariant node mass; likewise for the set value,
     which equals the edge-chain return time to the in-edge set of S.
-    Both identities are enforced.
+    Both identities are enforced. ``per_state`` is indexed by node.
     """
-    _require_edge_chain(chain)
+    chain = pdata.chain
     g = chain.graph
     nodes = sorted(set(int(i) for i in S))
     if not nodes:
@@ -178,7 +149,7 @@ def return_times(chain, pdata: PullbackData, S,
     for k in nodes:
         _check_node(chain, k)
     pi = pdata.node_density
-    per_node = np.zeros(g.n)
+    per_state = np.zeros(g.n)
     for k in nodes:
         sol = mean_hitting_times(chain, k, tol=tol)
         after_step = chain.matrix @ sol.time
@@ -190,7 +161,7 @@ def return_times(chain, pdata: PullbackData, S,
                 f"return time to node {k}: formula gives {value!r}, "
                 f"reciprocal mass gives {expected!r}"
             )
-        per_node[k] = value
+        per_state[k] = value
 
     mass = float(pi[nodes].sum())
     set_mean = 1.0 / mass
@@ -203,15 +174,15 @@ def return_times(chain, pdata: PullbackData, S,
             f"set return time {set_mean!r} disagrees with the edge-level "
             f"value {edge_view.set_mean!r}"
         )
-    return SecondOrderReturn(
+    return fo.ReturnData(
         target=tuple(nodes),
-        per_node=per_node,
+        per_state=per_state,
         set_mean=set_mean,
         density_mass=mass,
     )
 
 
-def hitting_matrix(chain, pdata: PullbackData, route: str = "both",
+def hitting_matrix(pdata: PullbackData, route: str = "both",
                    tol: Tolerances = TOL) -> SecondOrderMatrix:
     """Dense matrix of expected node-to-node times of the walk.
 
@@ -223,9 +194,9 @@ def hitting_matrix(chain, pdata: PullbackData, route: str = "both",
     subtract per-target offsets. With route "both" the two must agree
     within tolerance.
     """
-    _require_edge_chain(chain)
     if route not in ("aggregated", "lifted", "both"):
         raise ValueError(f"unknown route {route!r}")
+    chain = pdata.chain
     g = chain.graph
     n = g.n
 
@@ -233,7 +204,7 @@ def hitting_matrix(chain, pdata: PullbackData, route: str = "both",
     if route in ("aggregated", "both"):
         agg = np.empty((n, n))
         for k in range(n):
-            agg[:, k] = node_hitting_times(chain, pdata, k, tol=tol)
+            agg[:, k] = node_hitting_times(pdata, k, tol=tol)
 
     lifted = None
     if route in ("lifted", "both"):
@@ -265,9 +236,7 @@ def hitting_matrix(chain, pdata: PullbackData, route: str = "both",
     )
 
 
-def random_target(chain, pdata: PullbackData,
-                  matrix: SecondOrderMatrix | None = None,
-                  tol: Tolerances = TOL) -> RandomTargetData:
+def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetData:
     """Expected time to a target drawn from the invariant node density.
 
     Also reports whether the per-node condition holds under which the
@@ -275,11 +244,9 @@ def random_target(chain, pdata: PullbackData,
     must share the same edge-level return time to that node's in-edge
     set.
     """
-    _require_edge_chain(chain)
+    chain = pdata.chain
     g = chain.graph
-    if matrix is None:
-        matrix = hitting_matrix(chain, pdata, route="aggregated", tol=tol)
-    access = matrix.matrix @ pdata.node_density
+    access = hitting_matrix(pdata, route="aggregated", tol=tol).matrix @ pdata.node_density
     kappa = float(access.mean())
     spread = float((access.max() - access.min()) / max(1.0, abs(kappa)))
 

@@ -135,14 +135,14 @@ def test_criterion_03_walk_kac_identity():
             continue
         g = chain.graph
         pdata = equilibrium_pullback(chain)
-        res = so.return_times(chain, pdata, range(g.n))
-        dev = float(np.abs(res.per_node * pdata.node_density - 1.0).max())
+        res = so.return_times(pdata, range(g.n))
+        dev = float(np.abs(res.per_state * pdata.node_density - 1.0).max())
         worst_node = max(worst_node, dev)
         assert dev <= 1e-10
         for _ in range(10):
             size = int(rng.integers(1, g.n))
             S = rng.choice(g.n, size=size, replace=False)
-            sres = so.return_times(chain, pdata, S)
+            sres = so.return_times(pdata, S)
             dev = abs(sres.set_mean * pdata.node_density[S].sum() - 1.0)
             worst_set = max(worst_set, dev)
             assert dev <= 1e-10
@@ -165,8 +165,8 @@ def test_criterion_04_node_returns_independent_of_mixing():
         for alpha in (0.0, 0.3, 0.7, 1.0):
             chain = downweighted_edge_chain(g, alpha)
             pdata = pullback_of(chain)
-            res = so.return_times(chain, pdata, range(g.n))
-            dev = float(np.abs(res.per_node - expected).max())
+            res = so.return_times(pdata, range(g.n))
+            dev = float(np.abs(res.per_state - expected).max())
             worst = max(worst, dev)
             assert dev <= 1e-10, (g.n, alpha)
     report(4, f"degree formula over 4 graphs x 4 weights, "
@@ -264,7 +264,7 @@ def test_criterion_07_monte_carlo_agreement():
     def row_z(chain, pdata, T, ret, source, seed):
         """Max |z| per comparison for one source; exact where noiseless."""
         hit_stats, ret_stats = simulate_so_sweep(
-            chain, pdata, source, trials, seed=seed
+            pdata, source, trials, seed=seed
         )
         zs = []
         for k in range(chain.graph.n):
@@ -276,10 +276,10 @@ def test_criterion_07_monte_carlo_agreement():
                 zs.append(abs(st.mean - T[source, k]) / st.stderr)
         assert ret_stats.censored == 0
         if ret_stats.stderr == 0.0:
-            assert ret_stats.mean == pytest.approx(ret.per_node[source],
+            assert ret_stats.mean == pytest.approx(ret.per_state[source],
                                                    abs=1e-9)
         else:
-            zs.append(abs(ret_stats.mean - ret.per_node[source])
+            zs.append(abs(ret_stats.mean - ret.per_state[source])
                       / ret_stats.stderr)
         return zs
 
@@ -294,8 +294,8 @@ def test_criterion_07_monte_carlo_agreement():
         for _, make in WALK_SPECS:
             chain = make(g)
             pdata = pullback_of(chain)
-            T = so.hitting_matrix(chain, pdata, route="aggregated").matrix
-            ret = so.return_times(chain, pdata, range(g.n))
+            T = so.hitting_matrix(pdata, route="aggregated").matrix
+            ret = so.return_times(pdata, range(g.n))
             for source in range(g.n):
                 zs = row_z(chain, pdata, T, ret, source, MC_SEED + stream)
                 compared += len(zs)
@@ -331,7 +331,7 @@ def test_criterion_08_hitting_matrix_routes_agree():
     for name, g in graphs:
         chain = nonbacktracking_edge_chain(g)
         pdata = pullback_of(chain)
-        res = so.hitting_matrix(chain, pdata, route="both")
+        res = so.hitting_matrix(pdata, route="both")
         assert res.max_route_difference is not None
         assert res.max_route_difference <= 1e-8
         details.append(f"{name} {res.max_route_difference:.2e}")
@@ -350,7 +350,7 @@ def test_criterion_09_access_time_constant():
                       (oracles.complete_bipartite(3, 3), None)):
         chain = uniform_edge_chain(g)
         pdata = equilibrium_pullback(chain)
-        rt = so.random_target(chain, pdata)
+        rt = so.random_target(pdata)
         assert rt.condition_holds
         assert rt.spread <= 1e-9
         assert float(rt.access.max() - rt.access.min()) <= 1e-9
@@ -368,7 +368,7 @@ def nb_and_classical_means(g):
     classical = fo.hitting_matrix(uniform_node_chain(g)).matrix
     chain = nonbacktracking_edge_chain(g)
     pdata = pullback_of(chain)
-    walk = so.hitting_matrix(chain, pdata, route="aggregated").matrix
+    walk = so.hitting_matrix(pdata, route="aggregated").matrix
     return column_means(classical), column_means(walk)
 
 
@@ -395,7 +395,7 @@ def endpoint_checks(g, m, mhat, csv_path):
     chain = downweighted_edge_chain(g, 1.0)
     pdata = pullback_of(chain)
     mhat1 = column_means(
-        so.hitting_matrix(chain, pdata, route="aggregated").matrix
+        so.hitting_matrix(pdata, route="aggregated").matrix
     )
     assert ((mhat1 / mhat1)[np.isfinite(mhat1)] == 1.0).all()
     assert float(np.abs(mhat1 - m).max()) <= 1e-10

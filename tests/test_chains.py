@@ -189,6 +189,19 @@ class TestTensorChain:
         with pytest.raises(ChainError):
             edge_chain_from_tensor(c4, probs)
 
+    @pytest.mark.parametrize("triple, where", [
+        ((0, 2, 1), "starts"),  # (0,2) is not an edge of C4, (2,1) is
+        ((0, 2, 0), "starts"),  # neither edge exists: the first one is named
+        ((0, 1, 3), "ends"),    # (0,1) is an edge of C4, (1,3) is not
+    ])
+    def test_triple_outside_edge_set(self, c4, triple, where):
+        probs = transition_tensor(uniform_edge_chain(c4))
+        probs[triple] = 0.5
+        i, j, k = triple
+        with pytest.raises(ChainError,
+                           match=fr"^triple \({i},{j},{k}\) {where} outside the edge set$"):
+            edge_chain_from_tensor(c4, probs)
+
     @pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (float("inf"), "inf")])
     def test_non_finite_probability(self, c4, value, shown):
         probs = transition_tensor(uniform_edge_chain(c4))

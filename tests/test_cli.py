@@ -213,6 +213,15 @@ class TestReturnTimes:
         assert "a,4" in lines and "b,4" in lines
         assert lines[-1] == "set,2"
 
+    @pytest.mark.parametrize("labels", ["", ","])
+    def test_empty_label_in_set_is_an_input_error(self, capsys, c4_file, labels):
+        # an empty --set names the empty label, as "," does; it never
+        # means every node
+        code, out, err = run(capsys, "return-times", "--input", c4_file,
+                             "--undirected", "--walk", "nb", "--set", labels)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown node label ''\n"
+
 
 class TestSimulate:
     def test_deterministic_walk_zero_z(self, capsys, c4_file):

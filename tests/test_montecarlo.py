@@ -32,15 +32,15 @@ class TestDeterminism:
     def test_same_seed_same_stats(self, k4):
         ch = nonbacktracking_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
-        a = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=7)
-        b = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=7)
+        a = simulate_so_hitting(pdata, 0, 2, trials=20_000, seed=7)
+        b = simulate_so_hitting(pdata, 0, 2, trials=20_000, seed=7)
         assert a == b
 
     def test_different_seed_differs(self, k4):
         ch = nonbacktracking_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
-        a = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=7)
-        b = simulate_so_hitting(ch, pdata, 0, 2, trials=20_000, seed=8)
+        a = simulate_so_hitting(pdata, 0, 2, trials=20_000, seed=7)
+        b = simulate_so_hitting(pdata, 0, 2, trials=20_000, seed=8)
         assert a.mean != b.mean
 
     def test_block_split_invariance(self, k4):
@@ -48,15 +48,15 @@ class TestDeterminism:
         # the overlapping substreams; spot-check determinism across sizes
         ch = uniform_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
-        a = simulate_so_return(ch, pdata, 1, trials=8192 + 100, seed=3)
-        b = simulate_so_return(ch, pdata, 1, trials=8192 + 100, seed=3)
+        a = simulate_so_return(pdata, 1, trials=8192 + 100, seed=3)
+        b = simulate_so_return(pdata, 1, trials=8192 + 100, seed=3)
         assert a == b
 
     def test_sweep_deterministic(self, k33):
         ch = uniform_edge_chain(k33)
         pdata = equilibrium_pullback(ch)
-        per_a, ret_a = simulate_so_sweep(ch, pdata, 0, trials=10_000, seed=5)
-        per_b, ret_b = simulate_so_sweep(ch, pdata, 0, trials=10_000, seed=5)
+        per_a, ret_a = simulate_so_sweep(pdata, 0, trials=10_000, seed=5)
+        per_b, ret_b = simulate_so_sweep(pdata, 0, trials=10_000, seed=5)
         assert ret_a == ret_b
         assert all(x == y for x, y in zip(per_a, per_b))
 
@@ -65,20 +65,20 @@ class TestDeterministicWalks:
     def test_nb_c4_hitting_exact(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = equilibrium_pullback(ch)
-        stats = simulate_so_hitting(ch, pdata, 0, 2, trials=5000, seed=1)
+        stats = simulate_so_hitting(pdata, 0, 2, trials=5000, seed=1)
         assert stats.mean == 2.0 and stats.stderr == 0.0
         assert stats.censored == 0
 
     def test_nb_c4_return_exact(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = equilibrium_pullback(ch)
-        stats = simulate_so_return(ch, pdata, 3, trials=5000, seed=1)
+        stats = simulate_so_return(pdata, 3, trials=5000, seed=1)
         assert stats.mean == 4.0 and stats.stderr == 0.0
 
     def test_source_equals_target(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
-        stats = simulate_so_hitting(ch, pdata, 2, 2, trials=100, seed=0)
+        stats = simulate_so_hitting(pdata, 2, 2, trials=100, seed=0)
         assert stats.mean == 0.0 and stats.trials == 100
 
     def test_fo_source_in_target_set(self, k4):
@@ -109,31 +109,31 @@ class TestAgreementWithAnalytic:
     def test_so_nb_c4_neighbor(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = equilibrium_pullback(ch)
-        stats = simulate_so_hitting(ch, pdata, 0, 1, self.TRIALS, seed=14)
+        stats = simulate_so_hitting(pdata, 0, 1, self.TRIALS, seed=14)
         assert within(stats, 2.0)
         assert stats.stderr > 0
 
     def test_so_downweighted_c4_return(self, c4):
         ch = downweighted_edge_chain(c4, 0.5)
         pdata = equilibrium_pullback(ch)
-        stats = simulate_so_return(ch, pdata, 0, self.TRIALS, seed=15)
+        stats = simulate_so_return(pdata, 0, self.TRIALS, seed=15)
         assert within(stats, 4.0)
 
     def test_so_k33_hitting(self, k33):
         ch = nonbacktracking_edge_chain(k33)
         pdata = equilibrium_pullback(ch)
-        expect = secondorder.node_hitting_times(ch, pdata, 4)[0]
-        stats = simulate_so_hitting(ch, pdata, 0, 4, self.TRIALS, seed=16)
+        expect = secondorder.node_hitting_times(pdata, 4)[0]
+        stats = simulate_so_hitting(pdata, 0, 4, self.TRIALS, seed=16)
         assert within(stats, expect)
 
     def test_sweep_matches_analytic(self, k33):
         ch = downweighted_edge_chain(k33, 0.3)
         pdata = equilibrium_pullback(ch)
-        per, ret = simulate_so_sweep(ch, pdata, 1, self.TRIALS, seed=17)
-        returns = secondorder.return_times(ch, pdata, range(6))
-        assert within(ret, returns.per_node[1])
+        per, ret = simulate_so_sweep(pdata, 1, self.TRIALS, seed=17)
+        returns = secondorder.return_times(pdata, range(6))
+        assert within(ret, returns.per_state[1])
         for k in range(6):
-            expect = secondorder.node_hitting_times(ch, pdata, k)[1]
+            expect = secondorder.node_hitting_times(pdata, k)[1]
             assert within(per[k], expect)
         assert per[1].mean == 0.0  # the source itself
 
@@ -164,7 +164,7 @@ class TestCensoring:
     def test_zero_censored_on_easy_chain(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
-        stats = simulate_so_hitting(ch, pdata, 0, 3, trials=20_000, seed=4)
+        stats = simulate_so_hitting(pdata, 0, 3, trials=20_000, seed=4)
         assert stats.censored == 0
 
 
@@ -181,7 +181,7 @@ class TestValidation:
         ch = nonbacktracking_edge_chain(c4)
         pdata = equilibrium_pullback(ch)
         n = 4096
-        stats = simulate_so_hitting(ch, pdata, 0, 1, trials=n, seed=2)
+        stats = simulate_so_hitting(pdata, 0, 1, trials=n, seed=2)
         assert stats.stderr == pytest.approx(1 / math.sqrt(n), rel=0.1)
 
 
@@ -208,16 +208,16 @@ class TestIndexValidation:
         ch = uniform_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
         with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
-            simulate_so_hitting(ch, pdata, source, target, 100, seed=0)
+            simulate_so_hitting(pdata, source, target, 100, seed=0)
 
     @pytest.mark.parametrize("node", [-1, 4])
     def test_so_return_and_sweep_out_of_range(self, k4, node):
         ch = uniform_edge_chain(k4)
         pdata = equilibrium_pullback(ch)
         with pytest.raises(ValueError, match=f"^node {node} out of range$"):
-            simulate_so_return(ch, pdata, node, 100, seed=0)
+            simulate_so_return(pdata, node, 100, seed=0)
         with pytest.raises(ValueError, match=f"^node {node} out of range$"):
-            simulate_so_sweep(ch, pdata, node, 100, seed=0)
+            simulate_so_sweep(pdata, node, 100, seed=0)
 
 
 def loop_sample(P, rows, u):
@@ -238,7 +238,9 @@ def loop_sweep(chain, pdata, source, trials, seed, cap):
     """Reference sweep: one walk at a time on the same random streams."""
     from walktimes import montecarlo as mc
     n = chain.graph.n
-    out, first_cdf = mc._first_edge_cdf(chain, pdata.first_transition, source)
+    out = chain.graph.out_edges(source)
+    probs = pdata.first_transition[out]
+    first_cdf = np.cumsum(probs / probs.sum())
     dst = chain.graph.dst
     accs = [mc._Accumulator() for _ in range(n + 1)]
     for b, nb in enumerate(mc._block_sizes(trials)):
@@ -345,5 +347,5 @@ class TestLoopReference:
                                 (uniform_edge_chain(k33), 1, 4),
                                 (uniform_edge_chain(oracles.complete_graph(10)), 3, 100)):
             pdata = equilibrium_pullback(ch)
-            got = simulate_so_sweep(ch, pdata, source, 300, seed=4, cap=cap)
+            got = simulate_so_sweep(pdata, source, 300, seed=4, cap=cap)
             assert got == loop_sweep(ch, pdata, source, 300, 4, cap)

@@ -210,3 +210,12 @@ class TestEquilibriumPullback:
     def test_irreducible_always_allowed(self, k4):
         pdata = equilibrium_pullback(nonbacktracking_edge_chain(k4))
         assert np.allclose(pdata.edge_density, np.full(12, 1 / 12), atol=1e-12)
+
+    @pytest.mark.parametrize("g", [oracles.complete_graph(4), oracles.directed_cycle(3)],
+                             ids=["k4", "directed-c3"])
+    def test_node_chain_rejected(self, g):
+        # on the directed 3-cycle n = m, so node states would pass for
+        # edge indices if the chain's state set went unchecked
+        with pytest.raises(ChainError,
+                           match="^second-order statistics require a chain on edges$"):
+            equilibrium_pullback(uniform_node_chain(g))

@@ -142,23 +142,23 @@ class TestNodeHitting:
     def test_nb_c4_frozen(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        assert secondorder.node_hitting_times(ch, pdata, 2)[0] == pytest.approx(2.0, abs=1e-12)
+        assert secondorder.node_hitting_times(pdata, 2)[0] == pytest.approx(2.0, abs=1e-12)
         # to the neighbor: half the walks go straight (1 step), half the
         # long way round (3 steps)
-        assert secondorder.node_hitting_times(ch, pdata, 1)[0] == pytest.approx(2.0, abs=1e-12)
+        assert secondorder.node_hitting_times(pdata, 1)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_target_node_zero(self, k33):
         ch = uniform_edge_chain(k33)
         pdata = pullback_of(ch)
         for k in range(6):
-            assert secondorder.node_hitting_times(ch, pdata, k)[k] == 0.0
+            assert secondorder.node_hitting_times(pdata, k)[k] == 0.0
 
     def test_uniform_chain_equals_classical(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
         classical = hitting_matrix(uniform_node_chain(k4)).matrix
         for k in range(4):
-            got = secondorder.node_hitting_times(ch, pdata, k)
+            got = secondorder.node_hitting_times(pdata, k)
             assert np.abs(got - classical[:, k]).max() <= 1e-8
             assert got[(k + 1) % 4] == pytest.approx(3.0, abs=1e-8)
 
@@ -167,35 +167,35 @@ class TestSecondOrderReturns:
     def test_nb_c4_all_four(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        res = secondorder.return_times(ch, pdata, range(4))
-        assert np.allclose(res.per_node, 4.0, atol=1e-12)
+        res = secondorder.return_times(pdata, range(4))
+        assert np.allclose(res.per_state, 4.0, atol=1e-12)
 
     def test_degree_formula_any_alpha(self, petersen):
         total = float(petersen.out_degree.sum())
         for alpha in (0.0, 0.3, 0.7, 1.0):
             ch = downweighted_edge_chain(petersen, alpha)
             pdata = pullback_of(ch)
-            res = secondorder.return_times(ch, pdata, range(10))
+            res = secondorder.return_times(pdata, range(10))
             expect = total / petersen.out_degree.astype(float)
-            assert np.abs(res.per_node - expect).max() <= 1e-10
+            assert np.abs(res.per_state - expect).max() <= 1e-10
 
     def test_kac_identity(self, k33):
         ch = nonbacktracking_edge_chain(k33)
         pdata = pullback_of(ch)
-        res = secondorder.return_times(ch, pdata, range(6))
-        assert np.abs(res.per_node * pdata.node_density - 1.0).max() <= 1e-10
+        res = secondorder.return_times(pdata, range(6))
+        assert np.abs(res.per_state * pdata.node_density - 1.0).max() <= 1e-10
 
     def test_set_return_reciprocal_mass(self, k4):
         ch = nonbacktracking_edge_chain(k4)
         pdata = pullback_of(ch)
-        res = secondorder.return_times(ch, pdata, [0, 2])
+        res = secondorder.return_times(pdata, [0, 2])
         mass = pdata.node_density[[0, 2]].sum()
         assert res.set_mean == pytest.approx(1.0 / mass, rel=1e-12)
 
     def test_whole_space_one(self, k4):
         ch = downweighted_edge_chain(k4, 0.4)
         pdata = pullback_of(ch)
-        res = secondorder.return_times(ch, pdata, range(4))
+        res = secondorder.return_times(pdata, range(4))
         assert res.set_mean == pytest.approx(1.0, abs=1e-12)
 
     def test_per_node_message_prints_plain_numbers(self, k4):
@@ -204,7 +204,7 @@ class TestSecondOrderReturns:
         with pytest.raises(InvariantViolation,
                            match=r"^return time to node 0: formula gives [0-9.]+, "
                                  r"reciprocal mass gives 4\.0$"):
-            secondorder.return_times(ch, pullback_of(ch), [0], tol=tol)
+            secondorder.return_times(pullback_of(ch), [0], tol=tol)
 
 
 class TestSecondOrderHittingMatrix:
@@ -212,20 +212,20 @@ class TestSecondOrderHittingMatrix:
         for g in (k4, k33, petersen):
             ch = nonbacktracking_edge_chain(g)
             pdata = pullback_of(ch)
-            res = secondorder.hitting_matrix(ch, pdata, route="both")
+            res = secondorder.hitting_matrix(pdata, route="both")
             assert res.max_route_difference <= 1e-8
             assert np.abs(res.matrix - res.lifted).max() <= 1e-8
 
     def test_zero_diagonal_exact(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.2)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(ch, pdata, route="aggregated")
+        res = secondorder.hitting_matrix(pdata, route="aggregated")
         assert np.array_equal(np.diag(res.matrix), np.zeros(10))
 
     def test_uniform_equals_classical_matrix(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(ch, pdata, route="both")
+        res = secondorder.hitting_matrix(pdata, route="both")
         classical = hitting_matrix(uniform_node_chain(k4)).matrix
         assert np.abs(res.matrix - classical).max() <= 1e-8
         off = res.matrix[~np.eye(4, dtype=bool)]
@@ -234,7 +234,7 @@ class TestSecondOrderHittingMatrix:
     def test_nb_vs_classical_c4(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        walk = secondorder.hitting_matrix(ch, pdata, route="aggregated").matrix
+        walk = secondorder.hitting_matrix(pdata, route="aggregated").matrix
         classical = hitting_matrix(uniform_node_chain(c4)).matrix
         assert walk[0, 2] == pytest.approx(2.0, abs=1e-10)
         assert classical[0, 2] == pytest.approx(4.0, abs=1e-10)
@@ -243,7 +243,7 @@ class TestSecondOrderHittingMatrix:
         g = oracles.random_undirected(12, 10, 33)
         ch = downweighted_edge_chain(g, 0.35)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(ch, pdata, route="both")
+        res = secondorder.hitting_matrix(pdata, route="both")
         assert res.max_route_difference <= 1e-8
 
     def test_size_cap_on_lifted_route(self, petersen, monkeypatch):
@@ -251,9 +251,9 @@ class TestSecondOrderHittingMatrix:
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
         with pytest.raises(SizeCapError):
-            secondorder.hitting_matrix(ch, pdata, route="lifted", tol=small)
+            secondorder.hitting_matrix(pdata, route="lifted", tol=small)
         # aggregated route ignores the cap on edges
-        res = secondorder.hitting_matrix(ch, pdata, route="aggregated", tol=small)
+        res = secondorder.hitting_matrix(pdata, route="aggregated", tol=small)
         assert res.matrix.shape == (10, 10)
 
 
@@ -261,14 +261,14 @@ class TestRandomTarget:
     def test_k33_uniform_condition_holds(self, k33):
         ch = uniform_edge_chain(k33)
         pdata = pullback_of(ch)
-        kappa, spread, ok = secondorder.random_target(ch, pdata)
-        assert ok
-        assert spread <= 1e-9
+        rt = secondorder.random_target(pdata)
+        assert rt.condition_holds
+        assert rt.spread <= 1e-9
 
     def test_k4_uniform_condition_holds(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
-        rt = secondorder.random_target(ch, pdata)
+        rt = secondorder.random_target(pdata)
         assert rt.condition_holds
         assert rt.spread <= 1e-9
         # uniform edge chain behaves classically: kappa = (3/4) * 3
@@ -277,15 +277,15 @@ class TestRandomTarget:
     def test_access_vector_matches_matrix(self, petersen):
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(ch, pdata, route="aggregated")
-        rt = secondorder.random_target(ch, pdata, matrix=res)
+        res = secondorder.hitting_matrix(pdata, route="aggregated")
+        rt = secondorder.random_target(pdata)
         expect = res.matrix @ pdata.node_density
         assert np.allclose(rt.access, expect, atol=1e-12)
 
     def test_vertex_transitive_nb(self, petersen):
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        rt = secondorder.random_target(ch, pdata)
+        rt = secondorder.random_target(pdata)
         assert rt.condition_holds
         assert rt.spread <= 1e-9
 
@@ -338,7 +338,7 @@ class TestReachSolveOnlyOnReducibleChains:
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
         calls = count_splu(monkeypatch)
-        secondorder.hitting_matrix(ch, pdata, route="aggregated")
+        secondorder.hitting_matrix(pdata, route="aggregated")
         assert len(calls) == petersen.n
 
     def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
@@ -368,7 +368,7 @@ class TestReachSolveOnlyOnReducibleChains:
     def test_route_both_on_reducible_chain_fails_fast(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         with pytest.raises(InvariantViolation, match="never reaches"):
-            secondorder.hitting_matrix(ch, pullback_of(ch), route="both")
+            secondorder.hitting_matrix(pullback_of(ch), route="both")
 
 
 class TestIterativeFallback:
