@@ -32,6 +32,7 @@ from .errors import (
     GraphFormatError,
     GraphStructureError,
     InvariantViolation,
+    QueryError,
     ReducibleChainError,
     SizeCapError,
     WalkTimesError,
@@ -95,6 +96,7 @@ __all__ = [
     "GraphFormatError",
     "GraphStructureError",
     "InvariantViolation",
+    "QueryError",
     "ReducibleChainError",
     "SizeCapError",
     "WalkTimesError",

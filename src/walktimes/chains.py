@@ -116,6 +116,8 @@ class Chain:
         self.density = (None if density is None else
                         _validate_density(P, density, tol.density_residual, f"{unit} chain"))
         self._components: list[np.ndarray] | None = None
+        # node-space hitting system, or False when P lacks the pair form
+        self._node_system = None
 
     @property
     def n_states(self) -> int:

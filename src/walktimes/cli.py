@@ -31,6 +31,7 @@ from .errors import (
     GraphFormatError,
     GraphStructureError,
     InvariantViolation,
+    QueryError,
     SizeCapError,
     WalkTimesError,
 )
@@ -509,8 +510,8 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except (GraphFormatError, GraphStructureError, ChainError, SizeCapError,
-            OSError, UnicodeDecodeError) as exc:
+    except (GraphFormatError, GraphStructureError, ChainError, QueryError,
+            SizeCapError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantViolation, ConvergenceError) as exc:

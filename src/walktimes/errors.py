@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: format and structure problems are
-data errors (exit 2), violated numerical identities and failed
-convergence are invariant errors (exit 3).
+The CLI maps these onto exit codes: format and structure problems and
+queries the walk cannot take are data errors (exit 2), violated
+numerical identities and failed convergence are invariant errors
+(exit 3).
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class ReducibleChainError(ChainError):
 
 class ConvergenceError(WalkTimesError):
     """Iterative solver failed to converge within its sweep budget."""
+
+
+class QueryError(WalkTimesError, ValueError):
+    """A query names a node, state set or trial count the walk cannot take."""
 
 
 class SizeCapError(WalkTimesError):

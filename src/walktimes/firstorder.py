@@ -22,7 +22,7 @@ import numpy as np
 from ._solvers import chain_steps, reach_probabilities
 from .chains import stationary_density
 from .config import TOL, Tolerances
-from .errors import InvariantViolation, SizeCapError
+from .errors import InvariantViolation, QueryError, SizeCapError
 
 __all__ = [
     "HittingSolution",
@@ -40,9 +40,9 @@ __all__ = [
 def _target_mask(n: int, S) -> np.ndarray:
     idx = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
     if idx.size == 0:
-        raise ValueError("target set is empty")
+        raise QueryError("target set is empty")
     if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"target state out of range for {n} states")
+        raise QueryError(f"target state out of range for {n} states")
     mask = np.zeros(n, dtype=bool)
     mask[idx] = True
     return mask

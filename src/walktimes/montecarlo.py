@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import TOL
-from .errors import ChainError
+from .errors import ChainError, QueryError
 from .firstorder import _target_mask
 from .secondorder import _check_node
 
@@ -119,19 +119,35 @@ class _RowSampler:
         rowlen = np.diff(self.indptr)
         if (rowlen == 0).any():
             raise ChainError("cannot simulate a chain with an empty row")
-        self.maxlen = int(rowlen.max())
+        self.maxlen = maxlen = int(rowlen.max())
+        # one step of every row's running sum per position in the row,
+        # adding in the order np.cumsum does
         self.cdf = cdf = P.data.copy()
-        self.guide = guide = None
-        if self.maxlen >= GUIDE_MIN_ROW:
+        live = np.arange(rowlen.size)
+        for p in range(1, maxlen):
+            live = live[rowlen[live] > p]
+            at = self.indptr[live] + p
+            cdf[at] += cdf[at - 1]
+        cdf[self.indptr[1:] - 1] = np.inf
+        self.guide = None
+        if maxlen >= GUIDE_MIN_ROW:
             self.width = rowlen * (1.0 - 2.0**-52)
-            self.guide = guide = np.empty(cdf.size, dtype=np.int64)
-        for r in range(P.shape[0]):
-            a, b = self.indptr[r], self.indptr[r + 1]
-            cdf[a:b] = np.cumsum(cdf[a:b])
-            cdf[b - 1] = np.inf
-            if guide is not None:
-                cells = np.arange(b - a) / (b - a)
-                guide[a:b] = a + np.searchsorted(cdf[a:b], cells)
+            self.guide = self._guide(rowlen)
+
+    def _guide(self, rowlen: np.ndarray) -> np.ndarray:
+        """Per cell, the first entry of its row whose cumulative sum is at
+        least the cell's lower edge: a binary search run on all cells at once.
+        """
+        row = np.repeat(np.arange(rowlen.size), rowlen)
+        lo = self.indptr[row]
+        hi = self.indptr[row + 1] - 1   # the last entry is +inf
+        cells = (np.arange(row.size) - lo) / rowlen[row]
+        for _ in range(self.maxlen.bit_length()):
+            mid = (lo + hi) // 2
+            right = self.cdf[mid] < cells
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return lo
 
     def sample(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each walk in ``rows`` for draws ``u`` in [0, 1]."""
@@ -148,7 +164,7 @@ class _RowSampler:
 
 def _block_sizes(trials: int) -> list[int]:
     if trials <= 0:
-        raise ValueError("trial count must be positive")
+        raise QueryError("trial count must be positive")
     full, rest = divmod(trials, BLOCK)
     return [BLOCK] * full + ([rest] if rest else [])
 
@@ -277,7 +293,7 @@ def simulate_fo_hitting(chain, source, targets, trials,
     mark = _target_mask(n, targets)
     source = int(source)
     if not 0 <= source < n:
-        raise ValueError(f"source state {source} out of range for {n} states")
+        raise QueryError(f"source state {source} out of range for {n} states")
     if mark[source]:
         return WalkStats(0.0, 0.0, int(trials), 0)
     return _first_passage(chain, lambda rng, nb: np.full(nb, source, dtype=np.int64),

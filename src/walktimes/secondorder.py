@@ -9,11 +9,15 @@ means the current-node process reaches k. Expected times from state
     1 + sum over next edges f of P[e, f] * time[f]   otherwise
 
 Two independent routes compute the same numbers. The direct route
-solves the system above. The line-graph route treats the walk as a
-plain first-order chain on edges, takes hitting times of the in-edge
-set of k, and shifts by one step. Their agreement is a standing
-cross-check; so is the equality of node return times with reciprocal
-invariant mass.
+solves the system above; for the built-in walks on an irreducible
+chain it does so in node space, one factorization with n - 1
+unknowns per target (``_solvers.node_target_steps``), and every other
+chain solves it over the edge states. The line-graph route treats the
+walk as a plain first-order chain on edges, takes hitting times of
+the in-edge set of k with the edge-space solver, and shifts by one
+step. Their agreement is a standing cross-check; so is the equality
+of node return times with reciprocal invariant mass, whose set-level
+check also runs on the edge chain.
 
 Edge-level functions take the edge chain. Node-level ones (start-node
 hitting times, return times, the hitting matrix, the random target)
@@ -28,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import firstorder as fo
-from ._solvers import chain_steps, reach_probabilities
+from ._solvers import node_target_steps, reach_probabilities
 from .chains import _require_edge_chain
 from .config import TOL, Tolerances
-from .errors import InvariantViolation
+from .errors import InvariantViolation, QueryError
 from .pullback import PullbackData
 
 __all__ = [
@@ -50,7 +54,7 @@ __all__ = [
 def _check_node(chain, k) -> int:
     k = int(k)
     if not (0 <= k < chain.graph.n):
-        raise ValueError(f"node {k} out of range")
+        raise QueryError(f"node {k} out of range")
     return k
 
 
@@ -95,8 +99,7 @@ def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> fo.HittingSolution:
     """
     _require_edge_chain(chain)
     k = _check_node(chain, k)
-    leaving, entering = _boundary_masks(chain, k)
-    time, finite, phi = chain_steps(chain, leaving, entering, tol=tol)
+    time, finite, phi = node_target_steps(chain, k, tol=tol)
     return fo.HittingSolution(target=(k,), probability=phi, time=time, finite=finite)
 
 
@@ -145,7 +148,7 @@ def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData
     g = chain.graph
     nodes = sorted(set(int(i) for i in S))
     if not nodes:
-        raise ValueError("target set is empty")
+        raise QueryError("target set is empty")
     for k in nodes:
         _check_node(chain, k)
     pi = pdata.node_density

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from walktimes.cli import main
@@ -457,6 +456,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "info", "--input", c4_file, "--undirected")
         assert code == 3
         assert "invariant failure" in err
+
+
+    def test_query_error_maps_to_two(self, capsys, c4_file, monkeypatch):
+        import walktimes.cli as cli
+        real = cli.so.return_times
+        monkeypatch.setattr(cli.so, "return_times", lambda pdata, S: real(pdata, [9]))
+        code, out, err = run(capsys, "return-times", "--input", c4_file, "--undirected")
+        assert code == 2
+        assert out == ""
+        assert err == "error: node 9 out of range\n"
 
 
 class TestOutputFile:

@@ -7,10 +7,11 @@ import pytest
 
 import oracles
 from walktimes import (
+    QueryError,
+    WalkTimesError,
     downweighted_edge_chain,
     edge_chain_from_tensor,
     equilibrium_pullback,
-    hitting_matrix,
     mean_hitting_times,
     nonbacktracking_edge_chain,
     simulate_fo_hitting,
@@ -219,6 +220,25 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=f"^node {node} out of range$"):
             simulate_so_sweep(pdata, node, 100, seed=0)
 
+    def test_query_errors_share_one_type(self, k4):
+        """Each bad query raises QueryError, a WalkTimesError and a ValueError."""
+        assert issubclass(QueryError, WalkTimesError)
+        assert issubclass(QueryError, ValueError)
+        node_chain = uniform_node_chain(k4)
+        pdata = equilibrium_pullback(uniform_edge_chain(k4))
+        calls = [
+            lambda: simulate_fo_hitting(node_chain, 0, {1}, trials=0, seed=0),
+            lambda: simulate_fo_hitting(node_chain, 9, {1}, 100, seed=0),
+            lambda: mean_hitting_times(node_chain, [7]),
+            lambda: mean_hitting_times(node_chain, []),
+            lambda: secondorder.mean_hitting_times(pdata.chain, 4),
+            lambda: secondorder.return_times(pdata, []),
+            lambda: simulate_so_return(pdata, -1, 100, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(QueryError):
+                call()
+
 
 def loop_sample(P, rows, u):
     """Reference inverse-CDF draw: scan each row until u <= its cumulative sum."""
@@ -308,17 +328,39 @@ def breakpoint_draws(P):
     return np.concatenate(rows), np.concatenate(draws)
 
 
+def sampler_chains(petersen):
+    """(chain, whether its sampler uses the guide table)."""
+    return [(uniform_edge_chain(petersen), False),
+            (downweighted_edge_chain(oracles.random_undirected(9, 6, 3), 0.3), False),
+            (uniform_edge_chain(oracles.complete_graph(10)), True),
+            (uniform_edge_chain(oracles.complete_graph(7)), True),
+            (nonbacktracking_edge_chain(hub_cycle(12)), True),
+            (uneven_tensor_chain(oracles.random_undirected(12, 40, 4), 6), True)]
+
+
 class TestLoopReference:
+    def test_row_sampler_build_matches_row_loop(self, petersen):
+        """The vectorized build gives the per-row loop's arrays bit for bit."""
+        from walktimes.montecarlo import _RowSampler
+        for ch, guided in sampler_chains(petersen):
+            P = ch.matrix.tocsr()
+            cdf = P.data.copy()
+            guide = np.empty(cdf.size, dtype=np.int64)
+            for r in range(P.shape[0]):
+                a, b = P.indptr[r], P.indptr[r + 1]
+                cdf[a:b] = np.cumsum(cdf[a:b])
+                cdf[b - 1] = np.inf
+                guide[a:b] = a + np.searchsorted(cdf[a:b], np.arange(b - a) / (b - a))
+            sampler = _RowSampler(P)
+            assert np.array_equal(sampler.cdf, cdf)
+            assert (sampler.guide is not None) == guided
+            if guided:
+                assert np.array_equal(sampler.guide, guide)
+
     def test_row_sampler_matches_scan(self, petersen):
         from walktimes.montecarlo import GUIDE_MIN_ROW, _RowSampler
         rng = np.random.default_rng(5)
-        for ch, guided in (
-                (uniform_edge_chain(petersen), False),
-                (downweighted_edge_chain(oracles.random_undirected(9, 6, 3), 0.3), False),
-                (uniform_edge_chain(oracles.complete_graph(10)), True),
-                (uniform_edge_chain(oracles.complete_graph(7)), True),
-                (nonbacktracking_edge_chain(hub_cycle(12)), True),
-                (uneven_tensor_chain(oracles.random_undirected(12, 40, 4), 6), True)):
+        for ch, guided in sampler_chains(petersen):
             sampler = _RowSampler(ch.matrix)
             assert (sampler.maxlen >= GUIDE_MIN_ROW) == guided
             assert (sampler.guide is not None) == guided

@@ -11,6 +11,7 @@ from walktimes import (
     InvariantViolation,
     SizeCapError,
     check_irreducible,
+    dangling_edges,
     downweighted_edge_chain,
     edge_chain_from_tensor,
     equilibrium_pullback,
@@ -21,7 +22,7 @@ from walktimes import (
     uniform_node_chain,
 )
 from walktimes import secondorder
-from walktimes._solvers import expected_steps
+from walktimes._solvers import _node_system, chain_steps, expected_steps
 from walktimes.config import TOL
 
 
@@ -326,13 +327,13 @@ class TestReachSolveOnlyOnReducibleChains:
         for ch in self.irreducible_chains(k33, petersen):
             assert check_irreducible(ch)[0]
             for k in range(ch.graph.n):
-                sol = secondorder.mean_hitting_times(ch, k)
                 leaving, entering = secondorder._boundary_masks(ch, k)
+                time, _, phi = chain_steps(ch, leaving, entering)
                 reach_time, _, _ = expected_steps(
                     ch.matrix, leaving, entering, assume_sure=False
                 )
-                assert np.array_equal(sol.time, reach_time)
-                assert np.all(sol.probability == 1.0)
+                assert np.array_equal(time, reach_time)
+                assert np.all(phi == 1.0)
 
     def test_one_factorization_per_target(self, petersen, monkeypatch):
         ch = nonbacktracking_edge_chain(petersen)
@@ -369,6 +370,86 @@ class TestReachSolveOnlyOnReducibleChains:
         ch = nonbacktracking_edge_chain(c4)
         with pytest.raises(InvariantViolation, match="never reaches"):
             secondorder.hitting_matrix(pullback_of(ch), route="both")
+
+
+class TestNodeSpaceRoute:
+    """Built-in walks on irreducible chains are solved with n - 1 node unknowns."""
+
+    @staticmethod
+    def no_edge_route(monkeypatch):
+        import walktimes._solvers as solvers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the target went to the edge route")
+        monkeypatch.setattr(solvers, "chain_steps", refuse)
+
+    @staticmethod
+    def assert_matches_edge_system(ch, k):
+        time = secondorder.mean_hitting_times(ch, k).time
+        leaving, entering = secondorder._boundary_masks(ch, k)
+        want, _, _ = expected_steps(ch.matrix, leaving, entering, assume_sure=False)
+        assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_matches_edge_system(self, monkeypatch):
+        self.no_edge_route(monkeypatch)
+        graphs = [oracles.random_digraph(9, 14, s) for s in range(1, 5)]
+        graphs += [oracles.random_undirected(n, extra, s)
+                   for s in range(1, 5) for n, extra in ((10, 3), (14, 12))]
+        served = 0
+        for g in graphs:
+            walks = [uniform_edge_chain(g)]
+            if not dangling_edges(g):
+                walks += [nonbacktracking_edge_chain(g), downweighted_edge_chain(g, 0.3)]
+            for ch in walks:
+                if not check_irreducible(ch)[0]:
+                    continue
+                for k in range(g.n):
+                    self.assert_matches_edge_system(ch, k)
+                served += 1
+        assert served >= 30
+
+    def test_forced_pairs_stay_unknowns(self, monkeypatch):
+        # the bow-tie's degree-2 nodes force the nb walk both ways along
+        # the edge between them
+        bowtie = oracles.undirected(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        ch = nonbacktracking_edge_chain(bowtie)
+        self.no_edge_route(monkeypatch)
+        forced = _node_system(ch).forced
+        assert sorted(bowtie.edges[e] for e in forced) == [(0, 1), (1, 0), (3, 4), (4, 3)]
+        for k in range(bowtie.n):
+            self.assert_matches_edge_system(ch, k)
+
+    def test_every_edge_touches_target(self, path3, monkeypatch):
+        ch = uniform_edge_chain(path3)
+        self.no_edge_route(monkeypatch)
+        calls = count_splu(monkeypatch)
+        time = secondorder.mean_hitting_times(ch, 1).time
+        assert time.tolist() == [float(j == 1) for _, j in path3.edges]
+        assert calls == []
+        for k in range(path3.n):
+            self.assert_matches_edge_system(ch, k)
+
+    def test_other_chains_take_edge_route(self, c4, petersen, monkeypatch):
+        import walktimes._solvers as solvers
+        calls = []
+        real = solvers.chain_steps
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solvers, "chain_steps", counted)
+        tensor = random_tensor_chain(oracles.random_undirected(12, 10, 7), 3)
+        reducible = nonbacktracking_edge_chain(c4)
+        for ch in (tensor, reducible):
+            calls.clear()
+            for k in range(ch.graph.n):
+                secondorder.mean_hitting_times(ch, k)
+            assert len(calls) == ch.graph.n
+        assert _node_system(tensor) is None
+        assert reducible._node_system is None   # never built: reducible chains skip it
+        calls.clear()
+        secondorder.mean_hitting_times(nonbacktracking_edge_chain(petersen), 0)
+        assert calls == []
 
 
 class TestIterativeFallback:
