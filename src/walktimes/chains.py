@@ -278,13 +278,14 @@ def is_bistochastic(chain, tol: Tolerances = TOL) -> bool:
     return bool(np.abs(cols - 1.0).max() <= tol.row_sum * chain.n_states)
 
 
-def uniform_density(chain) -> np.ndarray:
+def uniform_density(chain, tol: Tolerances = TOL) -> np.ndarray:
     """Uniform density over states.
 
-    Invariant for bistochastic chains, reducible or not; the canonical
-    choice for walks on undirected graphs whose support splits.
+    Invariant for bistochastic chains, reducible or not: exact for
+    every built-in walk on an undirected graph, and the canonical
+    choice for those whose support splits.
     """
-    if not is_bistochastic(chain):
+    if not is_bistochastic(chain, tol):
         raise ChainError("uniform density requires a bistochastic chain")
     n = chain.n_states
     return np.full(n, 1.0 / n)
@@ -304,10 +305,15 @@ def _power_iteration(P: sp.csr_matrix, tol: float, max_iter: int = 200_000) -> n
     raise ConvergenceError("power iteration did not converge")
 
 
+def _residual(P: sp.csr_matrix, pi: np.ndarray) -> float:
+    """Balance residual |P^T pi - pi|_1 of a density."""
+    return float(np.abs(P.T @ pi - pi).sum())
+
+
 def _normalized(P: sp.csr_matrix, pi) -> tuple[np.ndarray, float]:
     pi = np.asarray(pi, dtype=np.float64)
     pi /= pi.sum()
-    return pi, np.abs(P.T @ pi - pi).sum()
+    return pi, _residual(P, pi)
 
 
 def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:

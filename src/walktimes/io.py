@@ -14,7 +14,6 @@ import math
 import os
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .chains import Chain
@@ -34,6 +33,7 @@ __all__ = [
 
 def save_chain(chain, base: str) -> tuple[str, str]:
     """Write a chain as <base>.mtx plus <base>.json; returns the paths."""
+    import scipy.io  # lazily: only chain files need it
     mtx_path = base + ".mtx"
     json_path = base + ".json"
     scipy.io.mmwrite(mtx_path, chain.matrix.tocoo(), precision=17)
@@ -56,6 +56,7 @@ def save_chain(chain, base: str) -> tuple[str, str]:
 
 def load_chain(base: str):
     """Read a chain written by ``save_chain``."""
+    import scipy.io
     json_path = base + ".json"
     mtx_path = base + ".mtx"
     if not os.path.exists(json_path):

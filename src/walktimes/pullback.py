@@ -17,10 +17,11 @@ probability proportional to the invariant mass of (i, j).
 
 ``equilibrium_pullback`` is the one constructor, and it picks the
 invariant edge density in one place: a supplied ``pihat``, validated;
-else the chain's own density; else the solved density when the chain
-is irreducible or not bistochastic (a reducible chain that is not
-bistochastic raises ``ReducibleChainError``); else the uniform density
-of a reducible bistochastic chain.
+else the chain's own density; else the exact uniform density when the
+chain is bistochastic, as every built-in walk on an undirected graph
+is, and that density passes the residual test a solved one must
+pass; else the solved density (a reducible chain raises
+``ReducibleChainError``).
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import scipy.sparse as sp
 from .chains import (
     Chain,
     _require_edge_chain,
+    _residual,
     _validate_density,
     check_irreducible,
-    is_bistochastic,
     stationary_density,
     uniform_density,
 )
@@ -90,12 +91,15 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
 
     The invariant edge density is, in this order: ``pihat`` when
     supplied (validated first); the chain's own ``density``; the
-    solved density when the chain is irreducible or not bistochastic
+    uniform density of a bistochastic chain, accepted when its
+    balance residual is within ``tol.stationary_residual``, the bound
+    a solved density must meet; otherwise the solved density
     (``stationary_density`` raises ``ReducibleChainError`` with the
-    strongly connected components in the second case); otherwise the
-    uniform density, which is invariant for a reducible bistochastic
-    chain such as the never-backtracking walk on an undirected cycle,
-    though not unique. The identity lifting @ restriction = I and the
+    strongly connected components for a reducible chain). The uniform
+    density is exact for every built-in walk on an undirected graph,
+    and it is invariant, though not unique, for a reducible
+    bistochastic chain such as the never-backtracking walk on an
+    undirected cycle. The identity lifting @ restriction = I and the
     balance between in- and out-masses per node are enforced. A chain
     on nodes raises ``ChainError``.
     """
@@ -105,10 +109,13 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
         pihat = _validate_density(chain.matrix, pihat, tol.density_residual, "supplied edge")
     elif chain.density is not None:
         pihat = chain.density
-    elif check_irreducible(chain)[0] or not is_bistochastic(chain, tol):
-        pihat = stationary_density(chain, tol=tol)
     else:
-        pihat = uniform_density(chain)
+        try:
+            pihat = uniform_density(chain, tol)
+        except ChainError:
+            pihat = None
+        if pihat is None or _residual(chain.matrix, pihat) > tol.stationary_residual:
+            pihat = stationary_density(chain, tol=tol)
 
     m, n = g.m, g.n
     node_density = np.bincount(g.dst, weights=pihat, minlength=n)

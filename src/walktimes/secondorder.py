@@ -242,16 +242,20 @@ def hitting_matrix(pdata: PullbackData, route: str = "both",
 def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetData:
     """Expected time to a target drawn from the invariant node density.
 
-    Also reports whether the per-node condition holds under which the
-    access time is constant over start nodes: all in-edges of a node
-    must share the same edge-level return time to that node's in-edge
-    set.
+    The relative ``spread`` of the access times is reported as 0 when
+    it is at most n·ε, the roundoff of the n-term sums that form
+    them. Also reports whether the per-node condition holds under
+    which the access time is constant over start nodes: all in-edges
+    of a node must share the same edge-level return time to that
+    node's in-edge set.
     """
     chain = pdata.chain
     g = chain.graph
     access = hitting_matrix(pdata, route="aggregated", tol=tol).matrix @ pdata.node_density
     kappa = float(access.mean())
     spread = float((access.max() - access.min()) / max(1.0, abs(kappa)))
+    if spread <= g.n * np.finfo(np.float64).eps:
+        spread = 0.0
 
     condition = True
     for k in range(g.n):

@@ -118,6 +118,22 @@ def pendant_decorated(core: Graph, n_pendants: int, seed: int) -> Graph:
     return undirected(n, pairs)
 
 
+def random_step_weights(g: Graph, seed: int) -> dict[tuple[int, int, int], float]:
+    """Random positive (prev, cur, next) step probabilities on every edge.
+
+    Input for ``edge_chain_from_tensor``: a second-order walk with no
+    structure beyond its support, bistochastic only by accident.
+    """
+    rng = np.random.default_rng(seed)
+    probs = {}
+    for i, j in g.edges:
+        nxt = [int(g.dst[f]) for f in g.out_edges(j)]
+        w = rng.uniform(0.1, 1.0, size=len(nxt))
+        for k, p in zip(nxt, w / w.sum()):
+            probs[(i, j, k)] = p
+    return probs
+
+
 # ---------------------------------------------------------------------------
 # plain-Python graph oracles
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +179,14 @@ class TestJson:
     def test_precision_rounding(self):
         doc = json.loads(json_text({"v": 0.1234567890123456789}))
         assert doc["v"] == 0.123456789012
+
+
+def test_cli_import_leaves_scipy_io_out():
+    # only save_chain and load_chain read Matrix Market files
+    code = "import sys, walktimes.cli; print('scipy.io' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,16 @@ from walktimes import (
     Graph,
     ReducibleChainError,
     downweighted_edge_chain,
+    edge_chain_from_tensor,
     equilibrium_pullback,
     is_bistochastic,
     nonbacktracking_edge_chain,
     stationary_density,
+    uniform_density,
     uniform_edge_chain,
     uniform_node_chain,
 )
+from walktimes.config import TOL
 
 
 class TestPullbackEqualsUniformWalk:
@@ -219,3 +224,91 @@ class TestEquilibriumPullback:
         with pytest.raises(ChainError,
                            match="^second-order statistics require a chain on edges$"):
             equilibrium_pullback(uniform_node_chain(g))
+
+
+BOWTIE = oracles.undirected(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+BUILT_IN_WALKS = {
+    "uniform": uniform_edge_chain,
+    "nb": nonbacktracking_edge_chain,
+    "dw:0": lambda g: downweighted_edge_chain(g, 0.0),
+    "dw:0.3": lambda g: downweighted_edge_chain(g, 0.3),
+    "dw:1": lambda g: downweighted_edge_chain(g, 1.0),
+}
+
+
+def count_solves(monkeypatch):
+    """Route the pullback's density solve through a call counter."""
+    import walktimes.pullback as pullback
+    calls = []
+    real = pullback.stationary_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pullback, "stationary_density", counted)
+    return calls
+
+
+class TestExactUniformDensity:
+    @pytest.mark.parametrize("walk", sorted(BUILT_IN_WALKS))
+    def test_built_in_walks_take_uniform_without_solving(self, walk, petersen, monkeypatch):
+        import walktimes.pullback as pullback
+        graphs = [petersen, BOWTIE] + [oracles.random_undirected(8 + 3 * s, 2 * s + 1, s + 80)
+                                      for s in range(1, 5)]
+        chains = [BUILT_IN_WALKS[walk](g) for g in graphs]
+        solved = [stationary_density(ch) for ch in chains]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bistochastic chain was solved")
+        monkeypatch.setattr(pullback, "stationary_density", refuse)
+        for ch, pi in zip(chains, solved):
+            m = ch.n_states
+            pdata = equilibrium_pullback(ch)
+            assert np.array_equal(pdata.edge_density, np.full(m, 1 / m))
+            # the direct solve stays covered on every walk kind
+            assert np.abs(pi - pdata.edge_density).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 4, 9])
+    def test_nb_on_digraph_solves_once(self, seed, monkeypatch):
+        ch = nonbacktracking_edge_chain(oracles.random_digraph(9, 14, seed))
+        assert not is_bistochastic(ch)
+        calls = count_solves(monkeypatch)
+        pdata = equilibrium_pullback(ch)
+        assert calls == [1]
+        assert np.array_equal(pdata.edge_density, stationary_density(ch))
+
+    def test_tensor_chain_solves_once(self, monkeypatch):
+        g = oracles.random_undirected(12, 10, 7)
+        ch = edge_chain_from_tensor(g, oracles.random_step_weights(g, 3))
+        assert not is_bistochastic(ch)
+        calls = count_solves(monkeypatch)
+        pdata = equilibrium_pullback(ch)
+        assert calls == [1]
+        assert np.array_equal(pdata.edge_density, stationary_density(ch))
+
+    def test_almost_bistochastic_chain_solves(self, k4, monkeypatch):
+        # move 1e-11 of one row's mass between two columns: rows still sum
+        # to 1 and columns pass is_bistochastic (tolerance 12 * 1e-12), but
+        # the uniform density's residual 2e-11 / 12 exceeds 1e-12
+        P = uniform_edge_chain(k4).matrix.copy()
+        P.data[0] += 1e-11
+        P.data[1] -= 1e-11
+        ch = Chain(k4, P, "edges")
+        uniform = np.full(12, 1 / 12)
+        assert is_bistochastic(ch)
+        assert np.abs(P.T @ uniform - uniform).sum() > TOL.stationary_residual
+        calls = count_solves(monkeypatch)
+        pdata = equilibrium_pullback(ch)
+        assert calls == [1]
+        assert not np.array_equal(pdata.edge_density, uniform)
+        assert np.array_equal(pdata.edge_density, stationary_density(ch))
+
+    def test_uniform_density_uses_callers_tolerance(self, k4):
+        P = uniform_edge_chain(k4).matrix.copy()
+        P.data[0] += 1e-11
+        P.data[1] -= 1e-11
+        ch = Chain(k4, P, "edges")
+        assert np.array_equal(uniform_density(ch), np.full(12, 1 / 12))
+        strict = dataclasses.replace(TOL, row_sum=1e-14)
+        with pytest.raises(ChainError, match="bistochastic"):
+            uniform_density(ch, strict)

@@ -293,14 +293,7 @@ class TestRandomTarget:
 
 def random_tensor_chain(g, seed):
     """Tensor walk with random positive weights on every next step."""
-    rng = np.random.default_rng(seed)
-    probs = {}
-    for i, j in g.edges:
-        nxt = [int(g.dst[f]) for f in g.out_edges(j)]
-        w = rng.uniform(0.1, 1.0, size=len(nxt))
-        for k, p in zip(nxt, w / w.sum()):
-            probs[(i, j, k)] = p
-    return edge_chain_from_tensor(g, probs)
+    return edge_chain_from_tensor(g, oracles.random_step_weights(g, seed))
 
 
 def count_splu(monkeypatch):
