@@ -8,128 +8,63 @@ the linear systems for hitting probabilities and expected hitting and
 return times, collapses edge chains to equilibrium node chains, and
 cross-checks every quantity along independent routes, including a
 Monte Carlo sampler.
+
+Importing the package loads none of its submodules: each public name
+is imported from the submodule that defines it on first use. Graphs
+need numpy alone, so reading, stripping and measuring a graph start
+without scipy; the first chain, solve or sample imports it.
 """
 
-from . import firstorder, secondorder
-from .chains import (
-    Chain,
-    check_irreducible,
-    downweighted_edge_chain,
-    edge_chain_from_tensor,
-    is_bistochastic,
-    nonbacktracking_edge_chain,
-    stationary_density,
-    transition_tensor,
-    uniform_density,
-    uniform_edge_chain,
-    uniform_node_chain,
-)
-from .config import TOL, Tolerances
-from .errors import (
-    ChainError,
-    ConvergenceError,
-    DanglingEdgeError,
-    GraphFormatError,
-    GraphStructureError,
-    InvariantViolation,
-    QueryError,
-    ReducibleChainError,
-    SizeCapError,
-    WalkTimesError,
-)
-from .firstorder import (
-    HittingSolution,
-    ReturnData,
-    SubsetDecomposition,
-    TimeMatrix,
-    hitting_matrix,
-    hitting_probabilities,
-    mean_hitting_times,
-    return_times,
-    subset_decomposition,
-)
-from .graph import (
-    Graph,
-    LineGraphMap,
-    StripResult,
-    dangling_edges,
-    diameter,
-    is_strongly_connected,
-    line_graph,
-    load_edge_list,
-    load_matrix_market,
-    read_graph,
-    strip_leaves,
-)
-from .io import load_chain, load_transition_file, save_chain
-from .montecarlo import (
-    WalkStats,
-    simulate_fo_hitting,
-    simulate_so_hitting,
-    simulate_so_return,
-    simulate_so_sweep,
-)
-from .pullback import PullbackData, equilibrium_pullback
-from .secondorder import RandomTargetData, SecondOrderMatrix
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "firstorder",
-    "secondorder",
-    "Chain",
-    "check_irreducible",
-    "downweighted_edge_chain",
-    "edge_chain_from_tensor",
-    "is_bistochastic",
-    "nonbacktracking_edge_chain",
-    "stationary_density",
-    "transition_tensor",
-    "uniform_density",
-    "uniform_edge_chain",
-    "uniform_node_chain",
-    "TOL",
-    "Tolerances",
-    "ChainError",
-    "ConvergenceError",
-    "DanglingEdgeError",
-    "GraphFormatError",
-    "GraphStructureError",
-    "InvariantViolation",
-    "QueryError",
-    "ReducibleChainError",
-    "SizeCapError",
-    "WalkTimesError",
-    "HittingSolution",
-    "ReturnData",
-    "SubsetDecomposition",
-    "TimeMatrix",
-    "hitting_matrix",
-    "hitting_probabilities",
-    "mean_hitting_times",
-    "return_times",
-    "subset_decomposition",
-    "Graph",
-    "LineGraphMap",
-    "StripResult",
-    "dangling_edges",
-    "diameter",
-    "is_strongly_connected",
-    "line_graph",
-    "load_edge_list",
-    "load_matrix_market",
-    "read_graph",
-    "strip_leaves",
-    "load_chain",
-    "load_transition_file",
-    "save_chain",
-    "WalkStats",
-    "simulate_fo_hitting",
-    "simulate_so_hitting",
-    "simulate_so_return",
-    "simulate_so_sweep",
-    "PullbackData",
-    "equilibrium_pullback",
-    "RandomTargetData",
-    "SecondOrderMatrix",
-]
+# public name -> the submodule that defines it (a submodule names itself)
+_HOME = {
+    "firstorder": "firstorder",
+    "secondorder": "secondorder",
+    **dict.fromkeys((
+        "Chain", "check_irreducible", "downweighted_edge_chain",
+        "edge_chain_from_tensor", "is_bistochastic", "nonbacktracking_edge_chain",
+        "stationary_density", "transition_tensor", "uniform_density",
+        "uniform_edge_chain", "uniform_node_chain",
+    ), "chains"),
+    **dict.fromkeys(("TOL", "Tolerances"), "config"),
+    **dict.fromkeys((
+        "ChainError", "ConvergenceError", "DanglingEdgeError", "GraphFormatError",
+        "GraphStructureError", "InvariantViolation", "QueryError",
+        "ReducibleChainError", "SizeCapError", "WalkTimesError",
+    ), "errors"),
+    **dict.fromkeys((
+        "HittingSolution", "ReturnData", "SubsetDecomposition", "TimeMatrix",
+        "hitting_matrix", "hitting_probabilities", "mean_hitting_times",
+        "return_times", "subset_decomposition",
+    ), "firstorder"),
+    **dict.fromkeys((
+        "Graph", "LineGraphMap", "StripResult", "dangling_edges", "diameter",
+        "is_strongly_connected", "line_graph", "load_edge_list",
+        "load_matrix_market", "read_graph", "strip_leaves",
+    ), "graph"),
+    **dict.fromkeys(("load_chain", "load_transition_file", "save_chain"), "io"),
+    **dict.fromkeys((
+        "WalkStats", "simulate_fo_hitting", "simulate_so_hitting",
+        "simulate_so_return", "simulate_so_sweep",
+    ), "montecarlo"),
+    **dict.fromkeys(("PullbackData", "equilibrium_pullback"), "pullback"),
+    **dict.fromkeys(("RandomTargetData", "SecondOrderMatrix"), "secondorder"),
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    """Import a public name's submodule on first use (PEP 562)."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,10 @@
 Subcommands: info, strip, hitting, access, alpha-sweep, return-times,
 simulate, validate. Exit codes: 0 success, 1 usage, 2 malformed or
 unsuitable input data, 3 violated numerical invariant.
+
+The solver modules (chains, pullback, firstorder, secondorder,
+montecarlo) and with them scipy are imported inside the commands that
+use them, so ``info``, ``strip`` and usage errors start without scipy.
 """
 
 from __future__ import annotations
@@ -12,18 +16,6 @@ import sys
 
 import numpy as np
 
-from . import firstorder as fo
-from . import secondorder as so
-from .chains import (
-    check_irreducible,
-    downweighted_edge_chain,
-    edge_chain_from_tensor,
-    is_bistochastic,
-    nonbacktracking_edge_chain,
-    stationary_density,
-    uniform_edge_chain,
-    uniform_node_chain,
-)
 from .config import TOL, fmt
 from .errors import (
     ChainError,
@@ -37,8 +29,6 @@ from .errors import (
 )
 from .graph import diameter, read_graph, strip_leaves
 from .io import csv_text, json_text, load_transition_file, write_csv
-from .montecarlo import simulate_fo_hitting, simulate_so_hitting, simulate_so_return
-from .pullback import equilibrium_pullback
 
 WALK_HELP = "walk kind: uniform | nb | dw:<alpha> | tensor:<path>"
 
@@ -95,6 +85,13 @@ def _load(args):
 
 
 def _make_walk(g, spec: str):
+    from .chains import (
+        downweighted_edge_chain,
+        edge_chain_from_tensor,
+        nonbacktracking_edge_chain,
+        uniform_edge_chain,
+    )
+
     if spec == "uniform":
         return uniform_edge_chain(g)
     if spec == "nb":
@@ -114,6 +111,8 @@ def _make_walk(g, spec: str):
 
 
 def _walk(args):
+    from .pullback import equilibrium_pullback
+
     g = _load(args)
     return g, equilibrium_pullback(_make_walk(g, args.walk))
 
@@ -182,6 +181,10 @@ def cmd_strip(args) -> int:
 
 
 def cmd_hitting(args) -> int:
+    from . import firstorder as fo
+    from . import secondorder as so
+    from .chains import uniform_node_chain
+
     g, pdata = _walk(args)
     walk_T = so.hitting_matrix(pdata, route="aggregated").matrix
     classical_T = fo.hitting_matrix(uniform_node_chain(g)).matrix
@@ -207,6 +210,8 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_access(args) -> int:
+    from . import secondorder as so
+
     g, pdata = _walk(args)
     rt = so.random_target(pdata)
     rows = [[g.labels[i], float(rt.access[i])] for i in range(g.n)]
@@ -219,6 +224,10 @@ def cmd_access(args) -> int:
 
 
 def cmd_alpha_sweep(args) -> int:
+    from . import secondorder as so
+    from .chains import downweighted_edge_chain
+    from .pullback import equilibrium_pullback
+
     g = _load(args)
     try:
         grid = [float(x) for x in args.alpha_grid.split(",") if x.strip() != ""]
@@ -262,6 +271,8 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_return_times(args) -> int:
+    from . import secondorder as so
+
     g, pdata = _walk(args)
     if args.set is not None:
         nodes = [g.label_id(s) for s in args.set.split(",")]
@@ -275,6 +286,12 @@ def cmd_return_times(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import firstorder as fo
+    from . import secondorder as so
+    from .chains import uniform_node_chain
+    from .montecarlo import simulate_fo_hitting, simulate_so_hitting, simulate_so_return
+    from .pullback import equilibrium_pullback
+
     g = _load(args)
     source = g.label_id(args.source)
     if args.kind == "hitting" and args.target is None:
@@ -326,6 +343,11 @@ def _max_diff_with_inf(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_validate(args) -> int:
+    from . import secondorder as so
+    from .chains import check_irreducible, is_bistochastic, stationary_density
+    from .montecarlo import simulate_so_hitting
+    from .pullback import equilibrium_pullback
+
     g = _load(args)
     checks: list[tuple[str, str, str]] = []
 

@@ -7,6 +7,10 @@ indices are stable: edge ``e`` always refers to ``edges[e]``.
 
 Instances are immutable after construction; derived structures are
 precomputed so shared read access is safe.
+
+The module needs numpy alone: ``diameter`` is a bit-packed
+breadth-first search, and only ``Graph.adjacency`` and
+``is_strongly_connected`` import scipy, when they are called.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import GraphFormatError, GraphStructureError
 
@@ -155,8 +157,9 @@ class Graph:
             raise GraphStructureError("graph is not marked undirected")
         return self.m // 2
 
-    def adjacency(self) -> sp.csr_matrix:
-        """0/1 adjacency matrix in compressed sparse row form."""
+    def adjacency(self):
+        """0/1 adjacency matrix as a ``scipy.sparse.csr_matrix``."""
+        import scipy.sparse as sp  # lazily: reading and stripping need no scipy
         data = np.ones(self.m, dtype=np.float64)
         return sp.csr_matrix((data, (self._src, self._dst)), shape=(self._n, self._n))
 
@@ -419,13 +422,35 @@ def diameter(g: Graph) -> int:
     """Largest unweighted shortest-path distance over ordered node pairs.
 
     Raises for graphs where some node cannot reach some other node.
+
+    A bit-packed breadth-first search from every node at once: row i
+    holds, one bit per node, the nodes within d steps of i. Each level
+    ORs into every row the rows of its out-neighbours, so a level costs
+    O(m * n / 64) word operations and the rows take n**2 / 8 bytes.
     """
-    if g.n <= 1:
+    n = g.n
+    if n <= 1:
         return 0
-    dist = csgraph.shortest_path(g.adjacency(), method="D", unweighted=True)
-    if np.isinf(dist).any():
-        raise GraphStructureError("graph is not connected; diameter undefined")
-    return int(dist.max())
+    words = -(-n // 64)
+    reach = np.zeros((n, words), dtype=np.uint64)
+    nodes = np.arange(n)
+    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
+    full = np.full(words, np.uint64(2**64 - 1))
+    if n % 64:
+        full[-1] = np.uint64(2 ** (n % 64) - 1)
+    # out-neighbours grouped by source; reduceat needs the nonempty groups
+    nbrs = g.dst[g._out_order]
+    has_out = g.out_degree > 0
+    starts = g._out_ptr[:-1][has_out]
+    levels = 0
+    while not (reach == full).all():
+        grown = reach.copy()
+        grown[has_out] |= np.bitwise_or.reduceat(reach[nbrs], starts, axis=0)
+        if np.array_equal(grown, reach):
+            raise GraphStructureError("graph is not connected; diameter undefined")
+        reach = grown
+        levels += 1
+    return levels
 
 
 def is_strongly_connected(g: Graph) -> bool:
@@ -434,6 +459,8 @@ def is_strongly_connected(g: Graph) -> bool:
         return True
     if g.m == 0:
         return False
+    from scipy.sparse import csgraph  # lazily, as in Graph.adjacency
+
     ncomp, _ = csgraph.connected_components(
         g.adjacency(), directed=True, connection="strong"
     )

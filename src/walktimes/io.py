@@ -14,9 +14,7 @@ import math
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
-from .chains import Chain
 from .config import fmt
 from .errors import GraphFormatError
 from .graph import Graph, _records
@@ -57,6 +55,10 @@ def save_chain(chain, base: str) -> tuple[str, str]:
 def load_chain(base: str):
     """Read a chain written by ``save_chain``."""
     import scipy.io
+    import scipy.sparse as sp
+
+    from .chains import Chain
+
     json_path = base + ".json"
     mtx_path = base + ".mtx"
     if not os.path.exists(json_path):

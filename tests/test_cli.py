@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -459,9 +463,9 @@ class TestExitCodes:
 
 
     def test_query_error_maps_to_two(self, capsys, c4_file, monkeypatch):
-        import walktimes.cli as cli
-        real = cli.so.return_times
-        monkeypatch.setattr(cli.so, "return_times", lambda pdata, S: real(pdata, [9]))
+        from walktimes import secondorder as so
+        real = so.return_times
+        monkeypatch.setattr(so, "return_times", lambda pdata, S: real(pdata, [9]))
         code, out, err = run(capsys, "return-times", "--input", c4_file, "--undirected")
         assert code == 2
         assert out == ""
@@ -490,3 +494,41 @@ class TestOutputFile:
         assert code == 0
         assert all(line.endswith(",4")
                    for line in out.strip().splitlines()[1:])
+
+
+def fresh(*argv):
+    """Run a fresh interpreter on the package sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestStartup:
+    """info, strip and usage errors start without scipy; solvers import it."""
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["info"], 0),
+        (["info", "--json"], 0),
+        (["strip"], 0),
+        (["info", "--bogus"], 1),
+    ], ids=["info", "info-json", "strip", "usage-error"])
+    def test_light_commands_load_no_scipy(self, c4_file, argv, exit_code):
+        child = ("import json, sys\n"
+                 "from walktimes.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 f"print(json.dumps([code, {LOADED_SCIPY}]))")
+        done = fresh("-c", child, *argv, "--input", c4_file, "--undirected")
+        assert done.stdout.splitlines()[-1] == json.dumps([exit_code, []]), done.stderr
+
+    def test_bare_import_loads_no_scipy(self):
+        done = fresh("-c", f"import json, sys, walktimes; print(json.dumps({LOADED_SCIPY}))")
+        assert done.stdout == "[]\n", done.stderr
+
+    def test_solver_command_runs_as_a_process(self, capsys, c4_file):
+        argv = ["hitting", "--input", c4_file, "--undirected"]
+        done = fresh("-m", "walktimes.cli", *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run(capsys, *argv)[1]

@@ -319,6 +319,8 @@ class TestDiameter:
     def test_small_cases(self, c4, k4):
         assert diameter(c4) == 2
         assert diameter(k4) == 1
+        assert diameter(Graph(0, [])) == 0
+        assert diameter(Graph(1, [])) == 0
 
     def test_matches_bfs_oracle(self):
         for seed in range(4):
@@ -327,11 +329,21 @@ class TestDiameter:
         for seed in range(4):
             g = oracles.random_digraph(10, 12, seed)
             assert diameter(g) == oracles.diameter_oracle(g)
+        # node counts on both sides of the 64-bit word boundary
+        for n in (63, 64, 65, 130):
+            for g in (oracles.random_undirected(n, n // 2, n),
+                      oracles.random_digraph(n, n // 2, n)):
+                assert diameter(g) == oracles.diameter_oracle(g)
+        for g in (oracles.path_graph(200), oracles.cycle_graph(200)):
+            assert diameter(g) == oracles.diameter_oracle(g)
 
     def test_disconnected_raises(self):
-        g = Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)], undirected=True)
-        with pytest.raises(GraphStructureError, match="not connected"):
-            diameter(g)
+        for g in (Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)], undirected=True),
+                  Graph(2, []),                          # two nodes, no edge
+                  Graph(3, [(0, 1), (1, 0), (1, 2)])):   # one-way arc 1 -> 2
+            with pytest.raises(GraphStructureError,
+                               match="^graph is not connected; diameter undefined$"):
+                diameter(g)
 
 
 class TestStrongConnectivity:
