@@ -22,8 +22,8 @@ On an irreducible chain every state reaches every target surely, so
 sparse LU per target on an irreducible chain, two on a reducible one.
 
 ``node_target_steps`` answers the second-order question "how long
-until the walk visits node k" in node space when it can. The built-in
-edge chains (``uniform``, ``nb``, ``dw:alpha``) have the form
+until the walk visits the node set S" in node space when it can. The
+built-in edge chains (``uniform``, ``nb``, ``dw:alpha``) have the form
 
     P = diag(c) H T' - diag(d) J
 
@@ -34,10 +34,13 @@ Writing S_j for the sum of the unknowns over the out-edges of node j,
 each interior equation reads x_e + d_e x_(rev e) = 1 + c_e S_(head e).
 Solving each reversal pair in closed form gives
 x_e = g0_e + alpha_e S_(head e) + beta_e S_(tail e) with coefficients
-that do not depend on the target, so each target costs one sparse LU
-with n - 1 unknowns and the graph's adjacency pattern instead of one
-over the edge states; this is the algebra behind the Ihara-Bass
-identity (Bass 1992; Kempton 2016). A pair whose 2x2 block is
+that do not depend on the target. A target set S drops S_j for every
+j in S and moves the pair terms of the edges entering S from outside
+onto the diagonals of their tails; an interior edge has both ends
+outside S, so every reversal pair stays whole. Each target set costs
+one sparse LU with n - |S| unknowns and the graph's adjacency pattern
+instead of one over the edge states; this is the algebra behind the
+Ihara-Bass identity (Bass 1992; Kempton 2016). A pair whose 2x2 block is
 singular, a walk forced both ways along an edge, keeps its two edge
 unknowns in the reduced system. Each result takes one step of
 iterative refinement on the edge system, whose residual test
@@ -292,9 +295,10 @@ def _node_system(chain) -> _NodeSystem | None:
     return chain._node_system or None
 
 
-def _node_space_steps(chain, k: int, leaving, entering, tol: Tolerances):
-    """Times to node k through the node-space system; None when it does
-    not apply or its result fails the edge system's validation."""
+def _node_space_steps(chain, in_S, leaving, entering, tol: Tolerances):
+    """Times to the node set ``in_S`` (a node mask) through the
+    node-space system; None when it does not apply or its result fails
+    the edge system's validation."""
     ns = _node_system(chain)
     if ns is None:
         return None
@@ -307,16 +311,16 @@ def _node_space_steps(chain, k: int, leaving, entering, tol: Tolerances):
     M = ns.matrix
     size = M.shape[0]
     keep = np.ones(size, dtype=bool)
-    keep[k] = False
+    keep[:n] = ~in_S
     keep[n:] = interior[ns.forced]
     at = np.cumsum(keep) - 1
     on = keep[M.row] & keep[M.col]
-    # k's in-edges are on the boundary: their pair terms leave the
-    # diagonal entries of their tails
-    tails = g.src[g.in_edges(k)]
+    # edges entering S from outside are on the boundary: their pair
+    # terms leave the diagonal entries of their tails
+    tails = g.src[entering]
     rows = at[np.concatenate([M.row[on], tails])]
     cols = at[np.concatenate([M.col[on], tails])]
-    vals = np.concatenate([M.data[on], ns.beta[g.in_edges(k)]])
+    vals = np.concatenate([M.data[on], ns.beta[entering]])
     A = sp.csc_matrix((vals, (rows, cols)), shape=(at[-1] + 1,) * 2)
     try:
         lu = splu(A, permc_spec="MMD_AT_PLUS_A")
@@ -354,18 +358,20 @@ def _node_space_steps(chain, k: int, leaving, entering, tol: Tolerances):
     return x
 
 
-def node_target_steps(chain, k: int, tol: Tolerances = TOL):
-    """``chain_steps`` to second-order target node k of an edge chain.
+def node_target_steps(chain, S, tol: Tolerances = TOL):
+    """``chain_steps`` to the second-order target node set S of an edge chain.
 
-    Edges leaving k are pinned to 0 and edges entering it to 1.
-    Irreducible chains of the pair form (module docstring) are solved
-    in node space; other chains, and node-space results that fail
-    validation, take ``chain_steps``.
+    Edges leaving S are pinned to 0 and edges entering S from outside
+    to 1. Irreducible chains of the pair form (module docstring) are
+    solved in node space; other chains, and node-space results that
+    fail validation, take ``chain_steps``.
     """
     g = chain.graph
-    leaving, entering = g.src == k, g.dst == k
+    in_S = np.isin(np.arange(g.n), S)
+    leaving = in_S[g.src]
+    entering = in_S[g.dst] & ~leaving
     if check_irreducible(chain)[0]:
-        x = _node_space_steps(chain, k, leaving, entering, tol)
+        x = _node_space_steps(chain, in_S, leaving, entering, tol)
         if x is not None:
             return x, np.ones(g.m, dtype=bool), np.ones(g.m)
     return chain_steps(chain, leaving, entering, tol)

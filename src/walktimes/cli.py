@@ -396,8 +396,8 @@ def cmd_validate(args) -> int:
                 record("PASS", "node-return-identity", f"max deviation {dev:.3e}")
             except WalkTimesError as exc:
                 record("FAIL", "node-return-identity", str(exc))
-            # return_times enforces the set identity against the
-            # edge-level return time to the in-edges of S
+            # return_times enforces the set identity: the return time
+            # to S, from one solve of the times to S, is 1 / pi(S)
             rng = np.random.default_rng(args.seed)
             ok = True
             for _ in range(3):

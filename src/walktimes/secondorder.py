@@ -9,15 +9,16 @@ means the current-node process reaches k. Expected times from state
     1 + sum over next edges f of P[e, f] * time[f]   otherwise
 
 Two independent routes compute the same numbers. The direct route
-solves the system above; for the built-in walks on an irreducible
-chain it does so in node space, one factorization with n - 1
-unknowns per target (``_solvers.node_target_steps``), and every other
-chain solves it over the edge states. The line-graph route treats the
-walk as a plain first-order chain on edges, takes hitting times of
-the in-edge set of k with the edge-space solver, and shifts by one
-step. Their agreement is a standing cross-check; so is the equality
-of node return times with reciprocal invariant mass, whose set-level
-check also runs on the edge chain.
+solves the system above, with k replaced by a node set S where a
+query asks for one; for the built-in walks on an irreducible chain it
+does so in node space, one factorization with n - |S| unknowns per
+target set (``_solvers.node_target_steps``), and every other chain
+solves it over the edge states. The line-graph route treats the walk
+as a plain first-order chain on edges, takes hitting times of the
+in-edge set of k with the edge-space solver, and shifts by one step.
+Their agreement is a standing cross-check; so is the equality of the
+return times to each node and to a node set with reciprocal invariant
+mass, both taken from the direct route's solve for that node or set.
 
 Edge-level functions take the edge chain. Node-level ones (start-node
 hitting times, return times, the hitting matrix, the random target)
@@ -99,7 +100,7 @@ def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> fo.HittingSolution:
     """
     _require_edge_chain(chain)
     k = _check_node(chain, k)
-    time, finite, phi = node_target_steps(chain, k, tol=tol)
+    time, finite, phi = node_target_steps(chain, (k,), tol=tol)
     return fo.HittingSolution(target=(k,), probability=phi, time=time, finite=finite)
 
 
@@ -135,14 +136,40 @@ def node_hitting_times(pdata: PullbackData, k, tol: Tolerances = TOL) -> np.ndar
     return np.asarray(pdata.first_step_matrix @ hitting.time).ravel()
 
 
+def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> float:
+    """Return time of the node process to ``nodes``, from x, the times to them.
+
+    Start inside the set in equilibrium, leave along the first-step
+    distribution, take one step, then hit the set from the resulting
+    edge: 1 + sum over the out-edges f of the set of w_f (P x)_f, with
+    w_f = first_transition_f * pi(src f) / pi(set). The result must
+    match the reciprocal invariant mass of the set (Kac).
+    """
+    chain = pdata.chain
+    g = chain.graph
+    pi = pdata.node_density
+    mass = float(pi[nodes].sum())
+    out = np.flatnonzero(np.isin(g.src, nodes))
+    w = pdata.first_transition[out] * (pi[g.src[out]] / mass)
+    value = 1.0 + float(w @ (chain.matrix @ x)[out])
+    expected = float(1.0 / mass)
+    if abs(value - expected) > tol.return_agreement * max(1.0, expected):
+        raise InvariantViolation(
+            f"return time to {name}: formula gives {value!r}, "
+            f"reciprocal mass gives {expected!r}"
+        )
+    return value
+
+
 def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData:
     """Mean return times of the node process to each node of S and to S.
 
     Per node: leave along the first-step distribution, take one step,
     then hit the node from the resulting edge. The result must match
     the reciprocal invariant node mass; likewise for the set value,
-    which equals the edge-chain return time to the in-edge set of S.
-    Both identities are enforced. ``per_state`` is indexed by node.
+    taken the same way from one solve for the whole set when S has
+    more than one node. Both identities are enforced. ``per_state`` is
+    indexed by node.
     """
     chain = pdata.chain
     g = chain.graph
@@ -151,36 +178,19 @@ def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData
         raise QueryError("target set is empty")
     for k in nodes:
         _check_node(chain, k)
-    pi = pdata.node_density
     per_state = np.zeros(g.n)
     for k in nodes:
-        sol = mean_hitting_times(chain, k, tol=tol)
-        after_step = chain.matrix @ sol.time
-        out = g.out_edges(k)
-        value = 1.0 + float(pdata.first_transition[out] @ after_step[out])
-        expected = float(1.0 / pi[k])
-        if abs(value - expected) > tol.return_agreement * max(1.0, expected):
-            raise InvariantViolation(
-                f"return time to node {k}: formula gives {value!r}, "
-                f"reciprocal mass gives {expected!r}"
-            )
-        per_state[k] = value
+        x = mean_hitting_times(chain, k, tol=tol).time
+        per_state[k] = _return_time(pdata, [k], x, f"node {k}", tol)
+    if len(nodes) > 1:
+        x = node_target_steps(chain, nodes, tol=tol)[0]
+        _return_time(pdata, nodes, x, f"the {len(nodes)}-node set", tol)
 
-    mass = float(pi[nodes].sum())
-    set_mean = 1.0 / mass
-    # cross-check: the node process returns to S when the edge process
-    # returns to the in-edge set of S
-    in_edges = np.concatenate([g.in_edges(k) for k in nodes])
-    edge_view = fo.return_times(chain, in_edges, pi=pdata.edge_density, tol=tol)
-    if abs(edge_view.set_mean - set_mean) > tol.return_agreement * max(1.0, set_mean):
-        raise InvariantViolation(
-            f"set return time {set_mean!r} disagrees with the edge-level "
-            f"value {edge_view.set_mean!r}"
-        )
+    mass = float(pdata.node_density[nodes].sum())
     return fo.ReturnData(
         target=tuple(nodes),
         per_state=per_state,
-        set_mean=set_mean,
+        set_mean=1.0 / mass,
         density_mass=mass,
     )
 
@@ -244,27 +254,31 @@ def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetDat
 
     The relative ``spread`` of the access times is reported as 0 when
     it is at most n·ε, the roundoff of the n-term sums that form
-    them. Also reports whether the per-node condition holds under
-    which the access time is constant over start nodes: all in-edges
-    of a node must share the same edge-level return time to that
-    node's in-edge set.
+    them, and as inf when some access time is. Also reports whether
+    the per-node condition holds under which the access time is
+    constant over start nodes: all in-edges of a node must share the
+    same edge-level return time to that node's in-edge set.
+
+    One pass over the targets serves both. The times x_k to node k give
+    its access column, and, since every continuation of an in-edge of
+    k leaves k, the in-edge return times 1 + (P P x_k) on in(k).
     """
     chain = pdata.chain
     g = chain.graph
-    access = hitting_matrix(pdata, route="aggregated", tol=tol).matrix @ pdata.node_density
-    kappa = float(access.mean())
-    spread = float((access.max() - access.min()) / max(1.0, abs(kappa)))
-    if spread <= g.n * np.finfo(np.float64).eps:
-        spread = 0.0
-
+    times = np.empty((g.n, g.n))
     condition = True
     for k in range(g.n):
-        edges = g.in_edges(k)
-        rd = fo.return_times(chain, edges, pi=pdata.edge_density, tol=tol)
-        vals = rd.per_state[edges]
-        if vals.max() - vals.min() > tol.access_spread * max(1.0, vals.mean()):
-            condition = False
-            break
+        x = mean_hitting_times(chain, k, tol=tol).time
+        times[:, k] = pdata.first_step_matrix @ x
+        if condition:
+            vals = 1.0 + (chain.matrix @ (chain.matrix @ x))[g.in_edges(k)]
+            condition = bool(np.ptp(vals) <= tol.access_spread * max(1.0, vals.mean()))
+    access = times @ pdata.node_density
+    kappa = float(access.mean())
+    spread = (float((access.max() - access.min()) / max(1.0, abs(kappa)))
+              if np.isfinite(kappa) else np.inf)
+    if spread <= g.n * np.finfo(np.float64).eps:
+        spread = 0.0
     return RandomTargetData(
         kappa=kappa, spread=spread, condition_holds=condition, access=access
     )

@@ -167,6 +167,23 @@ class TestAccess:
         assert doc["condition_holds"] is True
         assert doc["kappa"] == 2.25
 
+    def test_infinite_kappa_gives_infinite_spread(self, capsys, k4_file, tmp_path):
+        # every step has probability 1 and permutes K4's edges in two
+        # cycles: 0->1->2->0, and 1->0->2->1->3->0->3->2->3->1->0, the
+        # only one through node 3, so the 3-cycle never reaches node 3
+        walk = tmp_path / "permutation.txt"
+        walk.write_text("".join(f"{i} {j} {k} 1.0\n" for i, j, k in [
+            (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 3),
+            (1, 3, 0), (3, 0, 3), (0, 3, 2), (3, 2, 3), (2, 3, 1), (3, 1, 0)]))
+        argv = ["access", "--input", k4_file, "--undirected", "--walk", f"tensor:{walk}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == "kappa inf spread inf condition_holds false\n"
+        assert out.splitlines()[1:] == ["0,inf", "1,inf", "2,inf", "3,1.91666666667"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert (json.loads(out)["kappa"], json.loads(out)["spread"]) == ("inf", "inf")
+
 
 class TestAlphaSweep:
     def test_c4_ratios(self, capsys, c4_file):

@@ -22,8 +22,9 @@ from walktimes import (
     uniform_node_chain,
 )
 from walktimes import secondorder
-from walktimes._solvers import _node_system, chain_steps, expected_steps
+from walktimes._solvers import _node_system, chain_steps, expected_steps, node_target_steps
 from walktimes.config import TOL
+from walktimes.firstorder import return_times as edge_return_times
 
 
 def pullback_of(chain):
@@ -422,6 +423,44 @@ class TestNodeSpaceRoute:
         for k in range(path3.n):
             self.assert_matches_edge_system(ch, k)
 
+    def test_node_sets_match_edge_system(self, k4, k33, petersen, monkeypatch):
+        self.no_edge_route(monkeypatch)
+        bowtie = oracles.undirected(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        graphs = [k4, k33, petersen, bowtie]
+        graphs += [oracles.random_digraph(12, 10, s) for s in range(1, 4)]
+        graphs += [oracles.random_undirected(14, 8, s) for s in range(1, 3)]
+        rng = np.random.default_rng(11)
+        seen = dict.fromkeys(["internal edge", "forced pair kept", "forced pair cut"], 0)
+        served = 0
+        for g in graphs:
+            walks = [uniform_edge_chain(g)]
+            if not dangling_edges(g):
+                walks += [nonbacktracking_edge_chain(g), downweighted_edge_chain(g, 0.3)]
+            for ch in walks:
+                if not check_irreducible(ch)[0]:
+                    continue
+                sets = [rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)
+                        for _ in range(6)]
+                if g is bowtie:
+                    # S = {0, 1} holds the forced pair, {0} cuts it, {2} keeps both
+                    sets += [[2], [0], [0, 1], [2, 3], [1, 3]]
+                forced = _node_system(ch).forced
+                for S in sets:
+                    in_S = np.isin(np.arange(g.n), S)
+                    leaving = in_S[g.src]
+                    entering = in_S[g.dst] & ~leaving
+                    time = node_target_steps(ch, S)[0]
+                    want, _, _ = expected_steps(ch.matrix, leaving, entering,
+                                                assume_sure=False)
+                    assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                    served += 1
+                    interior = ~(leaving | entering)
+                    seen["internal edge"] += bool((leaving & in_S[g.dst]).any())
+                    seen["forced pair kept"] += bool(interior[forced].any())
+                    seen["forced pair cut"] += bool((~interior[forced]).any())
+        assert served >= 100
+        assert min(seen.values()) > 0, seen
+
     def test_other_chains_take_edge_route(self, c4, petersen, monkeypatch):
         import walktimes._solvers as solvers
         calls = []
@@ -443,6 +482,87 @@ class TestNodeSpaceRoute:
         calls.clear()
         secondorder.mean_hitting_times(nonbacktracking_edge_chain(petersen), 0)
         assert calls == []
+
+
+# a permutation of K4's twelve edges: the cycle 0-1-2-0 and a 9-cycle
+# through every other edge, so the chain is reducible but bistochastic
+K4_PERMUTATION = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 3),
+                  (1, 3, 0), (3, 0, 3), (0, 3, 2), (3, 2, 3), (2, 3, 1), (3, 1, 0)]
+
+
+def edge_loop_condition(pdata):
+    """``random_target``'s condition from one edge-chain return solve per node."""
+    chain = pdata.chain
+    for k in range(chain.graph.n):
+        edges = chain.graph.in_edges(k)
+        vals = edge_return_times(chain, edges, pi=pdata.edge_density).per_state[edges]
+        if vals.max() - vals.min() > TOL.access_spread * max(1.0, vals.mean()):
+            return False
+    return True
+
+
+class TestEdgeChainReturnCrossCheck:
+    """Node-space return times against ``firstorder.return_times`` on edge states.
+
+    ``return_times`` takes its set value, and ``random_target`` its
+    in-edge return times and condition, from node-space solves; the
+    edge chain's own return solve checks them here on every walk kind.
+    """
+
+    @staticmethod
+    def walks(k4, petersen):
+        for g in (k4, petersen, oracles.random_undirected(12, 6, 3),
+                  oracles.random_digraph(10, 8, 2)):
+            yield uniform_edge_chain(g)
+            if not dangling_edges(g):
+                yield nonbacktracking_edge_chain(g)
+                yield downweighted_edge_chain(g, 0.3)
+            yield random_tensor_chain(g, 5)
+
+    def test_set_and_in_edge_returns_match_edge_chain(self, k4, petersen):
+        rng = np.random.default_rng(3)
+        kinds = set()
+        for ch in self.walks(k4, petersen):
+            pdata = pullback_of(ch)
+            g = ch.graph
+            for k in range(g.n):
+                x = secondorder.mean_hitting_times(ch, k).time
+                edges = g.in_edges(k)
+                want = edge_return_times(ch, edges, pi=pdata.edge_density).per_state[edges]
+                got = 1.0 + (ch.matrix @ (ch.matrix @ x))[edges]
+                assert np.allclose(got, want, rtol=1e-12, atol=0)
+            for _ in range(4):
+                S = sorted(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False))
+                x = node_target_steps(ch, S)[0]
+                got = secondorder._return_time(pdata, S, x, "S", TOL)
+                in_edges = np.flatnonzero(np.isin(g.dst, S))
+                want = edge_return_times(ch, in_edges, pi=pdata.edge_density).set_mean
+                assert got == pytest.approx(want, rel=1e-12)
+            kinds.add(ch.kind.split(":")[0])
+        assert kinds == {"uniform", "nonbacktracking", "downweighted", "tensor"}
+
+    def test_condition_matches_edge_loop(self, k4, petersen):
+        # the permutation walk fails the condition at node 0, before the
+        # edge loop reaches node 3, whose in-edges the 3-cycle never enters
+        permutation = edge_chain_from_tensor(k4, {t: 1.0 for t in K4_PERMUTATION})
+        verdicts = set()
+        for ch in [*self.walks(k4, petersen), permutation]:
+            pdata = pullback_of(ch)
+            holds = secondorder.random_target(pdata).condition_holds
+            assert holds == edge_loop_condition(pdata)
+            verdicts.add(holds)
+        assert verdicts == {True, False}
+
+    def test_node_queries_factor_no_edge_system(self, k33, petersen, monkeypatch):
+        calls = count_splu(monkeypatch)
+        for g in (k33, petersen):
+            for ch in (uniform_edge_chain(g), nonbacktracking_edge_chain(g),
+                       downweighted_edge_chain(g, 0.3)):
+                calls.clear()
+                secondorder.return_times(pullback_of(ch), [0, 2, 3])
+                secondorder.random_target(pullback_of(ch))
+                # three nodes and the set, then one LU per target, none over edges
+                assert calls == [g.n - 1] * 3 + [g.n - 3] + [g.n - 1] * g.n
 
 
 class TestIterativeFallback:
