@@ -7,12 +7,18 @@ function, found with ``ast``). Blank lines, comment-only lines and
 docstring lines are therefore left out; tokens come from ``tokenize``,
 so lines inside other multi-line strings count.
 
+When the directory is a package, two option counts follow the table:
+the names in its ``__all__``, and the fields of its ``Tolerances``,
+each an independently settable value.
+
     python scripts/code_lines.py            # the package under src/walktimes
     python scripts/code_lines.py some/dir   # any directory of .py files
 """
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import sys
 import tokenize
 from pathlib import Path
@@ -42,6 +48,18 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(path.read_bytes())))
 
 
+def option_counts(root: Path) -> list[tuple[str, int]]:
+    """Public names and ``Tolerances`` fields of the package at ``root``."""
+    if not (root / "__init__.py").exists():
+        return []
+    sys.path.insert(0, str(root.resolve().parent))
+    package = importlib.import_module(root.resolve().name)
+    counts = [(f"{package.__name__}.__all__ names", len(package.__all__))]
+    if hasattr(package, "Tolerances"):
+        counts.append(("Tolerances fields", len(dataclasses.fields(package.Tolerances))))
+    return counts
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "walktimes"
     files = sorted(root.glob("*.py"))
@@ -57,6 +75,8 @@ def main(argv: list[str]) -> int:
         code_total += code
         print(f"{path.name:<16} {raw:>6} {code:>6}")
     print(f"{'total':<16} {raw_total:>6} {code_total:>6}")
+    for name, count in option_counts(root):
+        print(f"{name:<23} {count:>6}")
     return 0
 
 

@@ -51,7 +51,7 @@ _HOME = {
         "simulate_so_return", "simulate_so_sweep",
     ), "montecarlo"),
     **dict.fromkeys(("PullbackData", "equilibrium_pullback"), "pullback"),
-    **dict.fromkeys(("RandomTargetData", "SecondOrderMatrix"), "secondorder"),
+    "RandomTargetData": "secondorder",
 }
 
 __all__ = list(_HOME)

@@ -16,9 +16,11 @@ target set (``_solvers.node_target_steps``), and every other chain
 solves it over the edge states. The line-graph route treats the walk
 as a plain first-order chain on edges, takes hitting times of the
 in-edge set of k with the edge-space solver, and shifts by one step.
-Their agreement is a standing cross-check; so is the equality of the
-return times to each node and to a node set with reciprocal invariant
-mass, both taken from the direct route's solve for that node or set.
+``hitting_matrix`` takes the direct route to every node;
+``lifted_hitting_matrix`` lifts the edge chain's time matrix instead
+and enforces that the two agree. The return times to each node and to
+a node set must equal the reciprocal invariant mass, both taken from
+the direct route's solve for that node or set.
 
 Edge-level functions take the edge chain. Node-level ones (start-node
 hitting times, return times, the hitting matrix, the random target)
@@ -34,13 +36,12 @@ import numpy as np
 
 from . import firstorder as fo
 from ._solvers import node_target_steps, reach_probabilities
-from .chains import _require_edge_chain
+from .chains import _require_edge_chain, check_irreducible
 from .config import TOL, Tolerances
-from .errors import InvariantViolation, QueryError
+from .errors import InvariantViolation, QueryError, ReducibleChainError
 from .pullback import PullbackData
 
 __all__ = [
-    "SecondOrderMatrix",
     "RandomTargetData",
     "hitting_probabilities",
     "mean_hitting_times",
@@ -48,6 +49,7 @@ __all__ = [
     "node_hitting_times",
     "return_times",
     "hitting_matrix",
+    "lifted_hitting_matrix",
     "random_target",
 ]
 
@@ -57,15 +59,6 @@ def _check_node(chain, k) -> int:
     if not (0 <= k < chain.graph.n):
         raise QueryError(f"node {k} out of range")
     return k
-
-
-@dataclass(frozen=True)
-class SecondOrderMatrix:
-    """Dense node-to-node expected travel times of a second-order walk."""
-
-    matrix: np.ndarray            # aggregated route, exact zero diagonal
-    lifted: np.ndarray | None     # operator route, when computed
-    max_route_difference: float | None
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,10 @@ def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> f
     distribution, take one step, then hit the set from the resulting
     edge: 1 + sum over the out-edges f of the set of w_f (P x)_f, with
     w_f = first_transition_f * pi(src f) / pi(set). The result must
-    match the reciprocal invariant mass of the set (Kac).
+    match the reciprocal invariant mass of the set (Kac). When it does
+    not and the chain is reducible, the density is one of many
+    invariant ones and not the walk's equilibrium: that is a data
+    error, ``ReducibleChainError``, not a failed identity.
     """
     chain = pdata.chain
     g = chain.graph
@@ -154,6 +150,9 @@ def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> f
     value = 1.0 + float(w @ (chain.matrix @ x)[out])
     expected = float(1.0 / mass)
     if abs(value - expected) > tol.return_agreement * max(1.0, expected):
+        irreducible, components = check_irreducible(chain)
+        if not irreducible:
+            raise ReducibleChainError(components, what="edge chain")
         raise InvariantViolation(
             f"return time to {name}: formula gives {value!r}, "
             f"reciprocal mass gives {expected!r}"
@@ -195,58 +194,49 @@ def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData
     )
 
 
-def hitting_matrix(pdata: PullbackData, route: str = "both",
-                   tol: Tolerances = TOL) -> SecondOrderMatrix:
-    """Dense matrix of expected node-to-node times of the walk.
+def hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
+    """Dense n x n matrix of expected node-to-node times of the walk.
 
-    Route "aggregated" solves the per-edge system for every target and
-    averages over first steps; its diagonal is exactly zero. Route
-    "lifted" pushes the dense edge-pair time matrix through the
-    equilibrium operators: scale each column by the edge's return
-    weight to the in-edge set of its target node, collapse, and
-    subtract per-target offsets. With route "both" the two must agree
-    within tolerance.
+    Column k holds the per-edge times to node k averaged over first
+    steps (``node_hitting_times``); the diagonal is exactly zero.
     """
-    if route not in ("aggregated", "lifted", "both"):
-        raise ValueError(f"unknown route {route!r}")
+    n = pdata.chain.graph.n
+    T = np.empty((n, n))
+    for k in range(n):
+        T[:, k] = node_hitting_times(pdata, k, tol=tol)
+    return T
+
+
+def lifted_hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
+    """The same matrix through the edge chain's time matrix, cross-checked.
+
+    Push the dense edge-pair time matrix through the equilibrium
+    operators: scale each column by the edge's return weight to the
+    in-edge set of its target node, collapse, and subtract per-target
+    offsets. The result must agree with ``hitting_matrix`` within
+    tolerance, and is returned.
+    """
     chain = pdata.chain
     g = chain.graph
-    n = g.n
+    pihat = pdata.edge_density
+    edge_T = fo.hitting_matrix(chain, pi=pihat, tol=tol)
+    scale = np.zeros(g.m)
+    offsets = np.zeros(g.n)
+    for k in range(g.n):
+        dec = fo.subset_decomposition(
+            chain, g.in_edges(k), pi=pihat, T=edge_T.matrix, tol=tol
+        )
+        scale += dec.weights
+        offsets[k] = dec.offset
+    lifted = (pdata.lifting @ (edge_T.matrix * scale[None, :]) @
+              pdata.restriction)
+    lifted = np.asarray(lifted) - offsets[None, :]
 
-    agg = None
-    if route in ("aggregated", "both"):
-        agg = np.empty((n, n))
-        for k in range(n):
-            agg[:, k] = node_hitting_times(pdata, k, tol=tol)
-
-    lifted = None
-    if route in ("lifted", "both"):
-        pihat = pdata.edge_density
-        edge_T = fo.hitting_matrix(chain, pi=pihat, tol=tol)
-        scale = np.zeros(g.m)
-        offsets = np.zeros(n)
-        for k in range(n):
-            dec = fo.subset_decomposition(
-                chain, g.in_edges(k), pi=pihat, T=edge_T.matrix, tol=tol
-            )
-            scale += dec.weights
-            offsets[k] = dec.offset
-        lifted = (pdata.lifting @ (edge_T.matrix * scale[None, :]) @
-                  pdata.restriction)
-        lifted = np.asarray(lifted) - offsets[None, :]
-
-    diff = None
-    if agg is not None and lifted is not None:
-        diff = float(np.abs(agg - lifted).max())
-        if diff > tol.route_agreement * max(1.0, np.abs(agg).max() * 1e-6):
-            raise InvariantViolation(
-                f"hitting matrix routes disagree by {diff:.3e}"
-            )
-    return SecondOrderMatrix(
-        matrix=agg if agg is not None else lifted,
-        lifted=lifted,
-        max_route_difference=diff,
-    )
+    agg = hitting_matrix(pdata, tol=tol)
+    diff = float(np.abs(agg - lifted).max())
+    if diff > tol.route_agreement * max(1.0, np.abs(agg).max() * 1e-6):
+        raise InvariantViolation(f"hitting matrix routes disagree by {diff:.3e}")
+    return lifted
 
 
 def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetData:

@@ -294,7 +294,7 @@ def test_criterion_07_monte_carlo_agreement():
         for _, make in WALK_SPECS:
             chain = make(g)
             pdata = pullback_of(chain)
-            T = so.hitting_matrix(pdata, route="aggregated").matrix
+            T = so.hitting_matrix(pdata)
             ret = so.return_times(pdata, range(g.n))
             for source in range(g.n):
                 zs = row_z(chain, pdata, T, ret, source, MC_SEED + stream)
@@ -331,10 +331,9 @@ def test_criterion_08_hitting_matrix_routes_agree():
     for name, g in graphs:
         chain = nonbacktracking_edge_chain(g)
         pdata = pullback_of(chain)
-        res = so.hitting_matrix(pdata, route="both")
-        assert res.max_route_difference is not None
-        assert res.max_route_difference <= 1e-8
-        details.append(f"{name} {res.max_route_difference:.2e}")
+        diff = float(np.abs(so.lifted_hitting_matrix(pdata) - so.hitting_matrix(pdata)).max())
+        assert diff <= 1e-8
+        details.append(f"{name} {diff:.2e}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     if not dolphins.exists():
@@ -368,7 +367,7 @@ def nb_and_classical_means(g):
     classical = fo.hitting_matrix(uniform_node_chain(g)).matrix
     chain = nonbacktracking_edge_chain(g)
     pdata = pullback_of(chain)
-    walk = so.hitting_matrix(pdata, route="aggregated").matrix
+    walk = so.hitting_matrix(pdata)
     return column_means(classical), column_means(walk)
 
 
@@ -394,9 +393,7 @@ def endpoint_checks(g, m, mhat, csv_path):
     # and the alpha=1 means must coincide with the classical chain
     chain = downweighted_edge_chain(g, 1.0)
     pdata = pullback_of(chain)
-    mhat1 = column_means(
-        so.hitting_matrix(pdata, route="aggregated").matrix
-    )
+    mhat1 = column_means(so.hitting_matrix(pdata))
     assert ((mhat1 / mhat1)[np.isfinite(mhat1)] == 1.0).all()
     assert float(np.abs(mhat1 - m).max()) <= 1e-10
 

@@ -185,6 +185,42 @@ class TestAccess:
         assert (json.loads(out)["kappa"], json.loads(out)["spread"]) == ("inf", "inf")
 
 
+class TestReducibleReturn:
+    """K4 under the permutation walk: the uniform density is not its equilibrium."""
+
+    @pytest.fixture
+    def walk(self, tmp_path):
+        p = tmp_path / "permutation.txt"
+        p.write_text("".join(f"{i} {j} {k} 1.0\n" for i, j, k in [
+            (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 3),
+            (1, 3, 0), (3, 0, 3), (0, 3, 2), (3, 2, 3), (2, 3, 1), (3, 1, 0)]))
+        return f"tensor:{p}"
+
+    @pytest.mark.parametrize("argv", [
+        ("return-times",),
+        ("simulate", "--kind", "return", "--source", "3"),
+    ])
+    def test_failed_return_identity_is_a_data_error(self, capsys, k4_file, walk, argv):
+        code, out, err = run(capsys, *argv, "--input", k4_file, "--undirected",
+                             "--walk", walk)
+        assert (code, out) == (2, "")
+        assert err == ("error: edge chain is reducible: "
+                       "2 strongly connected components of sizes 3, 9\n")
+
+    def test_validate_without_a_finite_pair_skips_monte_carlo(self, capsys, k4_file, walk):
+        # seed 4 draws two pairs the walk never connects
+        code, out, _ = run(capsys, "validate", "--seed", "4", "--input", k4_file,
+                           "--undirected", "--walk", walk)
+        assert code == 0, out
+        assert "SKIP monte-carlo: no pair has a finite time" in out.splitlines()
+
+    def test_identity_that_holds_still_answers(self, capsys, k4_file, walk):
+        code, out, err = run(capsys, "return-times", "--set", "0,1", "--input", k4_file,
+                             "--undirected", "--walk", walk)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "set,2"
+
+
 class TestAlphaSweep:
     def test_c4_ratios(self, capsys, c4_file):
         code, out, err = run(capsys, "alpha-sweep", "--input", c4_file,
@@ -330,6 +366,41 @@ class TestValidate:
         assert doc["ok"] is True
         names = {c["name"] for c in doc["checks"]}
         assert "edge-time-equivalence" in names
+
+    @staticmethod
+    def monte_carlo_line(out):
+        return next(line for line in out.splitlines() if "monte-carlo" in line)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_censored_pairs_are_skipped(self, capsys, tmp_path, seed):
+        # with one step allowed most walks on the chorded 6-cycle are
+        # censored; their mean says nothing about the exact time
+        p = tmp_path / "c6-chord.edges"
+        p.write_text("a b\nb c\nc d\nd e\ne f\nf a\na d\n", encoding="utf-8")
+        code, out, _ = run(capsys, "validate", "--input", str(p), "--undirected",
+                           "--trials", "100", "--cap", "1", "--seed", str(seed))
+        assert code == 0, out
+        line = self.monte_carlo_line(out)
+        assert "deterministic" not in line
+        assert line.startswith("PASS monte-carlo: " if seed == 2 else "SKIP monte-carlo: ")
+        assert "walks censored)" in line
+
+    def test_single_walk_is_skipped(self, capsys, tmp_path):
+        p = tmp_path / "c4-chord.edges"
+        p.write_text("a b\nb c\nc d\nd a\na c\n", encoding="utf-8")
+        code, out, _ = run(capsys, "validate", "--input", str(p), "--undirected",
+                           "--trials", "1")
+        assert code == 0, out
+        assert self.monte_carlo_line(out) == (
+            "SKIP monte-carlo: b->c skipped (1 walk); d->d skipped (1 walk)")
+
+    def test_zero_spread_of_many_walks_is_an_exact_match(self, capsys, c4_file):
+        # seed 8 draws two pairs the nb walk on C4 always takes in the
+        # same number of steps
+        code, out, _ = run(capsys, "validate", "--input", c4_file, "--undirected",
+                           "--seed", "8")
+        assert code == 0, out
+        assert self.monte_carlo_line(out) == "PASS monte-carlo: deterministic walks"
 
     @pytest.mark.filterwarnings("error")
     def test_unreachable_targets_raise_no_warning(self, capsys, tmp_path):

@@ -39,3 +39,15 @@ def test_counts_skip_blank_comment_and_docstring_lines(tmp_path, capsys):
 def test_empty_directory_is_an_error(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 1
     assert "no .py files" in capsys.readouterr().err
+
+
+def test_package_option_counts(capsys):
+    assert code_lines.main([]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-2].split() == ["walktimes.__all__", "names", "56"]
+    assert rows[-1].split() == ["Tolerances", "fields", "24"]
+
+
+def test_plain_directory_has_no_option_counts(tmp_path):
+    (tmp_path / "sample.py").write_text(SAMPLE, encoding="utf-8")
+    assert code_lines.option_counts(tmp_path) == []

@@ -9,6 +9,7 @@ import oracles
 from walktimes import (
     Graph,
     InvariantViolation,
+    ReducibleChainError,
     SizeCapError,
     check_irreducible,
     dangling_edges,
@@ -200,6 +201,18 @@ class TestSecondOrderReturns:
         res = secondorder.return_times(pdata, range(4))
         assert res.set_mean == pytest.approx(1.0, abs=1e-12)
 
+    def test_reducible_chain_failing_kac_is_a_data_error(self, k4):
+        # the uniform density of the bistochastic permutation walk is
+        # invariant but not the walk's equilibrium: node 3 returns in 3
+        # steps, not 4
+        pdata = pullback_of(edge_chain_from_tensor(k4, {t: 1.0 for t in K4_PERMUTATION}))
+        with pytest.raises(ReducibleChainError,
+                           match="^edge chain is reducible: 2 strongly connected "
+                                 "components of sizes 3, 9$"):
+            secondorder.return_times(pdata, [3])
+        # where the identity holds the reducible walk still answers
+        assert secondorder.return_times(pdata, [0, 1]).set_mean == pytest.approx(2.0)
+
     def test_per_node_message_prints_plain_numbers(self, k4):
         ch = downweighted_edge_chain(k4, 0.3)
         tol = dataclasses.replace(TOL, return_agreement=-1.0)
@@ -212,31 +225,62 @@ class TestSecondOrderReturns:
 class TestSecondOrderHittingMatrix:
     def test_routes_agree(self, k4, k33, petersen):
         for g in (k4, k33, petersen):
-            ch = nonbacktracking_edge_chain(g)
-            pdata = pullback_of(ch)
-            res = secondorder.hitting_matrix(pdata, route="both")
-            assert res.max_route_difference <= 1e-8
-            assert np.abs(res.matrix - res.lifted).max() <= 1e-8
+            pdata = pullback_of(nonbacktracking_edge_chain(g))
+            lifted = secondorder.lifted_hitting_matrix(pdata)
+            assert np.abs(secondorder.hitting_matrix(pdata) - lifted).max() <= 1e-8
+
+    @pytest.mark.parametrize("graph", ["random_undirected", "random_digraph"])
+    @pytest.mark.parametrize("walk", ["uniform", "nb", "dw:0.3", "tensor"])
+    def test_routes_agree_on_every_walk_kind(self, graph, walk):
+        g = (oracles.random_undirected(10, 8, 4) if graph == "random_undirected"
+             else oracles.random_digraph(9, 12, 4))   # no dangling edges
+        ch = {"uniform": uniform_edge_chain,
+              "nb": nonbacktracking_edge_chain,
+              "dw:0.3": lambda g: downweighted_edge_chain(g, 0.3),
+              "tensor": lambda g: random_tensor_chain(g, 5)}[walk](g)
+        assert check_irreducible(ch)[0]
+        pdata = pullback_of(ch)
+        lifted = secondorder.lifted_hitting_matrix(pdata)
+        T = secondorder.hitting_matrix(pdata)
+        assert np.abs(T - lifted).max() <= 1e-8
+        # the check lives inside: a negative tolerance makes it fire
+        strict = dataclasses.replace(TOL, route_agreement=-1.0)
+        with pytest.raises(InvariantViolation, match="^hitting matrix routes disagree by "):
+            secondorder.lifted_hitting_matrix(pdata, tol=strict)
 
     def test_zero_diagonal_exact(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.2)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(pdata, route="aggregated")
-        assert np.array_equal(np.diag(res.matrix), np.zeros(10))
+        T = secondorder.hitting_matrix(pdata)
+        assert np.array_equal(np.diag(T), np.zeros(10))
 
     def test_uniform_equals_classical_matrix(self, k4):
         ch = uniform_edge_chain(k4)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(pdata, route="both")
+        T = secondorder.lifted_hitting_matrix(pdata)
         classical = hitting_matrix(uniform_node_chain(k4)).matrix
-        assert np.abs(res.matrix - classical).max() <= 1e-8
-        off = res.matrix[~np.eye(4, dtype=bool)]
+        assert np.abs(T - classical).max() <= 1e-8
+        off = T[~np.eye(4, dtype=bool)]
         assert np.allclose(off, 3.0, atol=1e-8)
+
+    def test_stacks_node_hitting_columns_in_node_space(self, petersen, monkeypatch):
+        pdata = pullback_of(nonbacktracking_edge_chain(petersen))
+        want = np.column_stack([secondorder.node_hitting_times(pdata, k)
+                                for k in range(petersen.n)])
+        import walktimes._solvers as solvers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edge-state system was factored")
+        monkeypatch.setattr(secondorder.fo, "hitting_matrix", refuse)
+        monkeypatch.setattr(solvers, "chain_steps", refuse)
+        T = secondorder.hitting_matrix(pdata)
+        assert isinstance(T, np.ndarray) and T.shape == (petersen.n, petersen.n)
+        assert np.array_equal(T, want)
 
     def test_nb_vs_classical_c4(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         pdata = pullback_of(ch)
-        walk = secondorder.hitting_matrix(pdata, route="aggregated").matrix
+        walk = secondorder.hitting_matrix(pdata)
         classical = hitting_matrix(uniform_node_chain(c4)).matrix
         assert walk[0, 2] == pytest.approx(2.0, abs=1e-10)
         assert classical[0, 2] == pytest.approx(4.0, abs=1e-10)
@@ -245,18 +289,19 @@ class TestSecondOrderHittingMatrix:
         g = oracles.random_undirected(12, 10, 33)
         ch = downweighted_edge_chain(g, 0.35)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(pdata, route="both")
-        assert res.max_route_difference <= 1e-8
+        lifted = secondorder.lifted_hitting_matrix(pdata)
+        assert np.abs(secondorder.hitting_matrix(pdata) - lifted).max() <= 1e-8
 
     def test_size_cap_on_lifted_route(self, petersen, monkeypatch):
         small = dataclasses.replace(TOL, dense_edge_cap=10)
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
+        calls = count_splu(monkeypatch)
         with pytest.raises(SizeCapError):
-            secondorder.hitting_matrix(pdata, route="lifted", tol=small)
-        # aggregated route ignores the cap on edges
-        res = secondorder.hitting_matrix(pdata, route="aggregated", tol=small)
-        assert res.matrix.shape == (10, 10)
+            secondorder.lifted_hitting_matrix(pdata, tol=small)
+        assert calls == []   # the cap fires before any node solve
+        # hitting_matrix ignores the cap on edges
+        assert secondorder.hitting_matrix(pdata, tol=small).shape == (10, 10)
 
 
 class TestRandomTarget:
@@ -279,9 +324,9 @@ class TestRandomTarget:
     def test_access_vector_matches_matrix(self, petersen):
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        res = secondorder.hitting_matrix(pdata, route="aggregated")
+        T = secondorder.hitting_matrix(pdata)
         rt = secondorder.random_target(pdata)
-        expect = res.matrix @ pdata.node_density
+        expect = T @ pdata.node_density
         assert np.allclose(rt.access, expect, atol=1e-12)
 
     def test_vertex_transitive_nb(self, petersen):
@@ -333,7 +378,7 @@ class TestReachSolveOnlyOnReducibleChains:
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
         calls = count_splu(monkeypatch)
-        secondorder.hitting_matrix(pdata, route="aggregated")
+        secondorder.hitting_matrix(pdata)
         assert len(calls) == petersen.n
 
     def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
@@ -363,7 +408,7 @@ class TestReachSolveOnlyOnReducibleChains:
     def test_route_both_on_reducible_chain_fails_fast(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         with pytest.raises(InvariantViolation, match="never reaches"):
-            secondorder.hitting_matrix(pullback_of(ch), route="both")
+            secondorder.lifted_hitting_matrix(pullback_of(ch))
 
 
 class TestNodeSpaceRoute:
