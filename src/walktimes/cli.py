@@ -420,6 +420,8 @@ def cmd_validate(args) -> int:
         for _ in range(2):
             i = int(rng.integers(g.n))
             k = int(rng.integers(g.n))
+            while k == i and g.n > 1:   # a walk from k to k takes 0 steps
+                k = int(rng.integers(g.n))
             pairs.append((i, k))
         ok = True
         tested = 0

@@ -10,7 +10,9 @@ hitting times of a set S solve, in minimal nonnegative form,
 and are infinite exactly for states that miss S with positive
 probability. Return times, the dense pairwise time matrix, and the
 decomposition of set hitting times into weighted singleton columns
-all come with their defining identities checked at runtime.
+all come with their defining identities checked at runtime. The time
+matrix of an irreducible chain comes from one dense fundamental
+matrix, not from one solve per target.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import chain_steps, reach_probabilities
-from .chains import stationary_density
+from .chains import check_irreducible, stationary_density
 from .config import TOL, Tolerances
 from .errors import InvariantViolation, QueryError, SizeCapError
 
@@ -178,13 +180,24 @@ def return_times(chain, S, pi=None, tol: Tolerances = TOL) -> ReturnData:
     )
 
 
+def _time_residual(P, T, pi) -> np.ndarray:
+    """ones - diag(1/pi) - (I - P) T: T's defining equation, zero where it holds."""
+    R = 1.0 - (T - P @ T)
+    R[np.diag_indices_from(R)] -= 1.0 / pi
+    return R
+
+
 def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
     """Dense matrix of expected travel times between all state pairs.
 
-    Column k holds the expected steps to reach k. Checked here:
-    the density-weighted row means agree across rows (the random
-    target identity) and the matrix satisfies its defining linear
-    equation with zero diagonal.
+    Column k holds the expected steps to reach k. Every column comes
+    from one dense fundamental matrix Z = (I - P + 1 pi')^-1 (Kemeny &
+    Snell, 1960): T_ik = (Z_kk - Z_ik) / (pi' Z)_k, where pi' Z = pi'
+    in exact arithmetic and the computed one makes the off-diagonal
+    equations hold for any pi near the density. One step of iterative
+    refinement through Z follows. Checked here: the density-weighted
+    row means agree across rows (the random target identity) and the
+    matrix satisfies its defining linear equation with zero diagonal.
     """
     n = chain.n_states
     if n > tol.dense_edge_cap:
@@ -194,7 +207,22 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
         )
     if pi is None:
         pi = stationary_density(chain, tol=tol)
-    T = _singleton_columns(chain, range(n), tol)
+    if not check_irreducible(chain)[0]:
+        # some state misses some other: that column is infinite
+        raise InvariantViolation(
+            "hitting time is infinite: some state never reaches the target set"
+        )
+    A = np.eye(n) - chain.matrix.toarray()
+    A += pi[None, :]
+    Z = np.linalg.inv(A)
+    T = (np.diag(Z)[None, :] - Z) / (pi @ Z)[None, :]
+    # the correction solves (I - P) D = R with zero diagonal; each
+    # column's diagonal entry, the return equation, is redundant, so
+    # it is set to keep the column orthogonal to pi and solvable
+    R = _time_residual(chain.matrix.astype(np.longdouble), T.astype(np.longdouble), pi)
+    R[np.diag_indices(n)] = np.diag(R) - (pi @ R) / pi
+    D = Z @ R.astype(np.float64)
+    T += D - np.diag(D)[None, :]
 
     row_means = T @ pi
     kappa = float(row_means.mean())
@@ -203,11 +231,7 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
         raise InvariantViolation(
             f"density-weighted row means of the time matrix vary by {spread:.3e}"
         )
-    # (I - P) T = ones - diag(1/pi), with a zero diagonal
-    lhs = T - chain.matrix @ T
-    rhs = np.ones((n, n))
-    rhs[np.diag_indices(n)] = 1.0 - 1.0 / pi
-    resid = np.abs(lhs - rhs).max()
+    resid = np.abs(_time_residual(chain.matrix, T, pi)).max()
     if resid > tol.t_matrix_residual * max(1.0, np.abs(T).max() * 1e-6):
         raise InvariantViolation(
             f"time matrix violates its linear equation: residual {resid:.3e}"

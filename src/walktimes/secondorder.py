@@ -11,10 +11,10 @@ means the current-node process reaches k. Expected times from state
 Two independent routes compute the same numbers. The direct route
 solves the system above, with k replaced by a node set S where a
 query asks for one; for the built-in walks on an irreducible chain it
-does so in node space, one factorization with n - |S| unknowns per
-target set (``_solvers.node_target_steps``), and every other chain
-solves it over the edge states. The line-graph route treats the walk
-as a plain first-order chain on edges, takes hitting times of the
+does so in node space, where one factorization per chain serves every
+target node and set (``_solvers.node_target_steps``), and every other
+chain solves it over the edge states. The line-graph route treats the
+walk as a plain first-order chain on edges, takes hitting times of the
 in-edge set of k with the edge-space solver, and shifts by one step.
 ``hitting_matrix`` takes the direct route to every node;
 ``lifted_hitting_matrix`` lifts the edge chain's time matrix instead
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import firstorder as fo
-from ._solvers import node_target_steps, reach_probabilities
+from ._solvers import _node_sets_steps, node_target_steps, reach_probabilities
 from .chains import _require_edge_chain, check_irreducible
 from .config import TOL, Tolerances
 from .errors import InvariantViolation, QueryError, ReducibleChainError
@@ -178,8 +178,7 @@ def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData
     for k in nodes:
         _check_node(chain, k)
     per_state = np.zeros(g.n)
-    for k in nodes:
-        x = mean_hitting_times(chain, k, tol=tol).time
+    for k, (x, _, _) in zip(nodes, _node_sets_steps(chain, [(k,) for k in nodes], tol)):
         per_state[k] = _return_time(pdata, [k], x, f"node {k}", tol)
     if len(nodes) > 1:
         x = node_target_steps(chain, nodes, tol=tol)[0]
@@ -202,8 +201,9 @@ def hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
     """
     n = pdata.chain.graph.n
     T = np.empty((n, n))
-    for k in range(n):
-        T[:, k] = node_hitting_times(pdata, k, tol=tol)
+    targets = _node_sets_steps(pdata.chain, [(k,) for k in range(n)], tol)
+    for k, (x, _, _) in enumerate(targets):
+        T[:, k] = pdata.first_step_matrix @ x
     return T
 
 
@@ -257,8 +257,8 @@ def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetDat
     g = chain.graph
     times = np.empty((g.n, g.n))
     condition = True
-    for k in range(g.n):
-        x = mean_hitting_times(chain, k, tol=tol).time
+    targets = _node_sets_steps(chain, [(k,) for k in range(g.n)], tol)
+    for k, (x, _, _) in enumerate(targets):
         times[:, k] = pdata.first_step_matrix @ x
         if condition:
             vals = 1.0 + (chain.matrix @ (chain.matrix @ x))[g.in_edges(k)]

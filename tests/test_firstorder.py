@@ -8,8 +8,11 @@ import pytest
 import oracles
 from walktimes import (
     Graph,
+    InvariantViolation,
     ReducibleChainError,
     SizeCapError,
+    downweighted_edge_chain,
+    edge_chain_from_tensor,
     hitting_matrix,
     hitting_probabilities,
     mean_hitting_times,
@@ -189,6 +192,39 @@ class TestHittingMatrix:
         rhs = np.ones((n, n))
         rhs[np.diag_indices(n)] = 1.0 - 1.0 / pi
         assert np.abs(lhs - rhs).max() <= 1e-8
+
+    @pytest.mark.parametrize("walk", ["node", "uniform", "nb", "dw:0.3", "tensor"])
+    def test_columns_match_per_target_solves(self, walk):
+        for g in (oracles.random_undirected(12, 10, 3), oracles.random_digraph(10, 12, 4)):
+            ch = {"node": uniform_node_chain,
+                  "uniform": uniform_edge_chain,
+                  "nb": nonbacktracking_edge_chain,
+                  "dw:0.3": lambda g: downweighted_edge_chain(g, 0.3),
+                  "tensor": lambda g: edge_chain_from_tensor(
+                      g, oracles.random_step_weights(g, 5))}[walk](g)
+            T = hitting_matrix(ch).matrix
+            for k in range(ch.n_states):
+                want = mean_hitting_times(ch, [k]).time
+                assert np.all(np.abs(T[:, k] - want) <= 1e-12 * np.maximum(1.0, want))
+            assert np.array_equal(np.diag(T), np.zeros(ch.n_states))
+
+    def test_no_factorization_on_irreducible_chain(self, petersen, monkeypatch):
+        import walktimes._solvers as solvers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse LU was factored")
+        monkeypatch.setattr(solvers, "splu", refuse)
+        for ch in (uniform_node_chain(petersen), nonbacktracking_edge_chain(petersen)):
+            tm = hitting_matrix(ch)
+            assert tm.kappa_spread <= 1e-8
+
+    def test_checks_run_on_the_result(self, petersen):
+        ch = uniform_node_chain(petersen)
+        for field, message in (("kemeny_spread", "^density-weighted row means"),
+                               ("t_matrix_residual", "^time matrix violates")):
+            strict = dataclasses.replace(TOL, **{field: -1.0})
+            with pytest.raises(InvariantViolation, match=message):
+                hitting_matrix(ch, tol=strict)
 
     def test_size_cap(self, k33, monkeypatch):
         small = dataclasses.replace(TOL, dense_edge_cap=3)

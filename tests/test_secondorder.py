@@ -23,7 +23,13 @@ from walktimes import (
     uniform_node_chain,
 )
 from walktimes import secondorder
-from walktimes._solvers import _node_system, chain_steps, expected_steps, node_target_steps
+from walktimes._solvers import (
+    _node_sets_steps,
+    _node_system,
+    chain_steps,
+    expected_steps,
+    node_target_steps,
+)
 from walktimes.config import TOL
 from walktimes.firstorder import return_times as edge_return_times
 
@@ -374,12 +380,22 @@ class TestReachSolveOnlyOnReducibleChains:
                 assert np.array_equal(time, reach_time)
                 assert np.all(phi == 1.0)
 
-    def test_one_factorization_per_target(self, petersen, monkeypatch):
+    def test_one_factorization_per_chain(self, petersen, monkeypatch):
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
         calls = count_splu(monkeypatch)
         secondorder.hitting_matrix(pdata)
-        assert len(calls) == petersen.n
+        assert calls == [petersen.n]   # the base system, at full size
+
+    def test_one_factorization_at_scale(self, monkeypatch):
+        # a 600-node, 1,800-edge core: one LU per target would be 1,200
+        g = oracles.random_undirected(600, 1200, 2)
+        assert g.m == 3600
+        calls = count_splu(monkeypatch)
+        T = secondorder.hitting_matrix(pullback_of(nonbacktracking_edge_chain(g)))
+        assert calls == [g.n] and np.all(np.isfinite(T))
+        classical = hitting_matrix(uniform_node_chain(g))
+        assert calls == [g.n] and classical.kappa_spread <= 1e-8
 
     def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
         for g in (c3, c4):
@@ -410,9 +426,22 @@ class TestReachSolveOnlyOnReducibleChains:
         with pytest.raises(InvariantViolation, match="never reaches"):
             secondorder.lifted_hitting_matrix(pullback_of(ch))
 
+    def test_lifted_route_on_reducible_bistochastic_chain(self, k4, monkeypatch):
+        # the permutation walk carries the uniform density but splits
+        # in two: the edge time matrix fails before any dense work
+        ch = edge_chain_from_tensor(k4, {t: 1.0 for t in K4_PERMUTATION})
+        pdata = pullback_of(ch)
+        calls = count_splu(monkeypatch)
+        monkeypatch.setattr(np.linalg, "inv", None)
+        with pytest.raises(InvariantViolation) as err:
+            secondorder.lifted_hitting_matrix(pdata)
+        assert str(err.value) == (
+            "hitting time is infinite: some state never reaches the target set")
+        assert calls == []
+
 
 class TestNodeSpaceRoute:
-    """Built-in walks on irreducible chains are solved with n - 1 node unknowns."""
+    """Built-in walks on irreducible chains are solved over node unknowns."""
 
     @staticmethod
     def no_edge_route(monkeypatch):
@@ -475,7 +504,8 @@ class TestNodeSpaceRoute:
         graphs += [oracles.random_digraph(12, 10, s) for s in range(1, 4)]
         graphs += [oracles.random_undirected(14, 8, s) for s in range(1, 3)]
         rng = np.random.default_rng(11)
-        seen = dict.fromkeys(["internal edge", "forced pair kept", "forced pair cut"], 0)
+        seen = dict.fromkeys(["internal edge", "forced pair kept", "forced pair cut",
+                              "base node", "base pair freed"], 0)
         served = 0
         for g in graphs:
             walks = [uniform_edge_chain(g)]
@@ -484,12 +514,20 @@ class TestNodeSpaceRoute:
             for ch in walks:
                 if not check_irreducible(ch)[0]:
                     continue
+                ns = _node_system(ch)
+                # the base target, its set with other nodes, its neighbours
+                k0 = int(np.flatnonzero(ns.base_pinned[:g.n])[0])
+                near = sorted(set(g.src[g.dst == k0]) | set(g.dst[g.src == k0]))
                 sets = [rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)
                         for _ in range(6)]
+                sets += [[k0], [k0, (k0 + 1) % g.n], [k0, *near[:2]], near]
+                sets += [[j] for j in near]
                 if g is bowtie:
-                    # S = {0, 1} holds the forced pair, {0} cuts it, {2} keeps both
-                    sets += [[2], [0], [0, 1], [2, 3], [1, 3]]
-                forced = _node_system(ch).forced
+                    # S = {0, 1} holds the forced pair, {0} cuts it, {2} keeps both;
+                    # k0 = 0 pins the pair next to it, which {3} frees
+                    assert k0 == 0
+                    sets += [[2], [0], [0, 1], [2, 3], [1, 3], [3], [3, 4]]
+                forced = ns.forced
                 for S in sets:
                     in_S = np.isin(np.arange(g.n), S)
                     leaving = in_S[g.src]
@@ -503,8 +541,70 @@ class TestNodeSpaceRoute:
                     seen["internal edge"] += bool((leaving & in_S[g.dst]).any())
                     seen["forced pair kept"] += bool(interior[forced].any())
                     seen["forced pair cut"] += bool((~interior[forced]).any())
+                    seen["base node"] += bool(in_S[k0])
+                    seen["base pair freed"] += bool((interior[forced]
+                                                     & ns.base_pinned[g.n:]).any())
         assert served >= 100
         assert min(seen.values()) > 0, seen
+
+    def test_large_sets_factor_their_own_system(self, monkeypatch):
+        # one node changes a dozen rows of the 120-unknown base system;
+        # half the nodes change nearly all of them, past the Woodbury
+        # limit, and that set factors its own reduced system
+        g = oracles.random_undirected(120, 240, 1)
+        ch = nonbacktracking_edge_chain(g)
+        for S, lus in (([7], [g.n]), (np.arange(0, g.n, 2), [g.n // 2])):
+            calls = count_splu(monkeypatch)
+            time = node_target_steps(ch, S)[0]
+            assert calls == lus   # the base, then cached on the chain
+            in_S = np.isin(np.arange(g.n), S)
+            leaving = in_S[g.src]
+            entering = in_S[g.dst] & ~leaving
+            want, _, _ = expected_steps(ch.matrix, leaving, entering, assume_sure=False)
+            assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_sets_solved_in_blocks_keep_their_own_digits(self, petersen, monkeypatch):
+        # every node, sets of several sizes, a set past the Woodbury limit
+        # and a set whose edges all touch it; chains off the node route too
+        import walktimes._solvers as solvers
+        big = oracles.random_undirected(120, 240, 1)
+        chains = [nonbacktracking_edge_chain(big), downweighted_edge_chain(petersen, 0.3),
+                  uniform_edge_chain(oracles.path_graph(3)), random_tensor_chain(petersen, 5),
+                  nonbacktracking_edge_chain(oracles.cycle_graph(4))]
+        strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
+        for ch, tol in [(ch, TOL) for ch in chains] + [(chains[1], strict)]:
+            n = ch.graph.n
+            sets = [(k,) for k in range(n)] + [(0, n - 1), tuple(range(0, n, 2))]
+            one = [node_target_steps(ch, S, tol=tol)[0] for S in sets]
+            for block in (solvers._BLOCK, 3 * ch.n_states):   # one block, then three sets a block
+                monkeypatch.setattr(solvers, "_BLOCK", block)
+                got = [x for x, _, _ in _node_sets_steps(ch, sets, tol)]
+                assert len(got) == len(sets)
+                assert all(np.array_equal(a, b) for a, b in zip(got, one))
+
+    def test_failed_base_factorization_takes_edge_route(self, petersen, monkeypatch):
+        import walktimes._solvers as solvers
+        real = solvers.splu
+        failed = []
+
+        def fail_first(A, *args, **kwargs):
+            if not failed:
+                failed.append(A.shape[0])
+                raise RuntimeError("Factor is exactly singular")
+            return real(A, *args, **kwargs)
+
+        for ch in (nonbacktracking_edge_chain(petersen), uniform_edge_chain(petersen)):
+            failed.clear()
+            monkeypatch.setattr(solvers, "splu", fail_first)
+            got = [node_target_steps(ch, S) for S in ([0], [3, 4])]
+            assert failed == [petersen.n] and ch._node_system is False
+            monkeypatch.setattr(solvers, "splu", real)
+            for S, (time, finite, phi) in zip(([0], [3, 4]), got):
+                in_S = np.isin(np.arange(petersen.n), S)
+                leaving = in_S[petersen.src]
+                want = chain_steps(ch, leaving, in_S[petersen.dst] & ~leaving)
+                for a, b in zip((time, finite, phi), want):
+                    assert np.array_equal(a, b)
 
     def test_other_chains_take_edge_route(self, c4, petersen, monkeypatch):
         import walktimes._solvers as solvers
@@ -606,8 +706,9 @@ class TestEdgeChainReturnCrossCheck:
                 calls.clear()
                 secondorder.return_times(pullback_of(ch), [0, 2, 3])
                 secondorder.random_target(pullback_of(ch))
-                # three nodes and the set, then one LU per target, none over edges
-                assert calls == [g.n - 1] * 3 + [g.n - 3] + [g.n - 1] * g.n
+                # one full-size base LU serves the three nodes, the set
+                # and every target; none is over edges
+                assert calls == [g.n]
 
 
 class TestIterativeFallback:
