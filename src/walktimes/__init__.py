@@ -25,9 +25,9 @@ _HOME = {
     "secondorder": "secondorder",
     **dict.fromkeys((
         "Chain", "check_irreducible", "downweighted_edge_chain",
-        "edge_chain_from_tensor", "is_bistochastic", "nonbacktracking_edge_chain",
-        "stationary_density", "transition_tensor", "uniform_density",
-        "uniform_edge_chain", "uniform_node_chain",
+        "edge_chain_from_tensor", "nonbacktracking_edge_chain",
+        "stationary_density", "transition_tensor", "uniform_edge_chain",
+        "uniform_node_chain",
     ), "chains"),
     **dict.fromkeys(("TOL", "Tolerances"), "config"),
     **dict.fromkeys((

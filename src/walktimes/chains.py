@@ -39,8 +39,6 @@ __all__ = [
     "transition_tensor",
     "stationary_density",
     "check_irreducible",
-    "is_bistochastic",
-    "uniform_density",
 ]
 
 
@@ -58,6 +56,11 @@ def _validate_rows(P: sp.csr_matrix, tol: float, what: str):
         )
 
 
+def _residual(P: sp.csr_matrix, pi: np.ndarray) -> float:
+    """Balance residual |P^T pi - pi|_1 of a density."""
+    return float(np.abs(P.T @ pi - pi).sum())
+
+
 def _validate_density(P: sp.csr_matrix, pi: np.ndarray, tol: float, what: str):
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (P.shape[0],):
@@ -66,7 +69,7 @@ def _validate_density(P: sp.csr_matrix, pi: np.ndarray, tol: float, what: str):
         raise ChainError(f"{what} density must be strictly positive")
     if abs(pi.sum() - 1.0) > tol:
         raise ChainError(f"{what} density must sum to 1")
-    resid = np.abs(P.T @ pi - pi).sum()
+    resid = _residual(P, pi)
     if resid > tol:
         raise ChainError(
             f"{what} density is not invariant: residual {resid:.3e} > {tol:.1e}"
@@ -80,8 +83,15 @@ class Chain:
     ``states`` is "nodes" or "edges"; edge states are host edge
     indices. The support must lie within the graph's edge set on
     nodes, and within the directed line graph on edges: a transition
-    e -> f needs ter(e) = sou(f). ``density`` optionally carries a
-    validated invariant density.
+    e -> f needs ter(e) = sou(f).
+
+    ``density`` is the chain's invariant density, and the chain is
+    the one place that decides it: a supplied density is validated
+    against ``tol.density_residual``; without one, the uniform density
+    is taken when its balance residual meets
+    ``tol.stationary_residual``, the bound a solved density must meet
+    (exact for every built-in edge walk on an undirected graph);
+    otherwise it is None and ``stationary_density`` solves for it.
     """
 
     def __init__(self, graph: Graph, matrix, states: str, density=None,
@@ -113,8 +123,13 @@ class Chain:
         self.matrix = P
         self.states = states
         self.kind = kind
-        self.density = (None if density is None else
-                        _validate_density(P, density, tol.density_residual, f"{unit} chain"))
+        if density is not None:
+            density = _validate_density(P, density, tol.density_residual, f"{unit} chain")
+        elif n:
+            uniform = np.full(n, 1.0 / n)
+            if _residual(P, uniform) <= tol.stationary_residual:
+                density = uniform
+        self.density = density
         self._components: list[np.ndarray] | None = None
         # node-space hitting system, or False when P lacks the pair form
         self._node_system = None
@@ -149,11 +164,16 @@ def _require_out_edges(g: Graph):
 
 
 def uniform_node_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
-    """Classical walk: each out-edge of the current node equally likely."""
+    """Classical walk: each out-edge of the current node equally likely.
+
+    On an undirected graph the chain carries its exact invariant
+    density deg / 2E (Lovasz, 1993), formed from the degree counts.
+    """
     _require_out_edges(g)
-    data = 1.0 / g.out_degree[g.src].astype(np.float64)
-    P = sp.csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
-    return Chain(g, P, "nodes", kind="uniform", tol=tol)
+    deg = g.out_degree.astype(np.float64)
+    P = sp.csr_matrix((1.0 / deg[g.src], (g.src, g.dst)), shape=(g.n, g.n))
+    density = deg / deg.sum() if g.undirected else None
+    return Chain(g, P, "nodes", density=density, kind="uniform", tol=tol)
 
 
 def _mixed_edge_chain(g: Graph, alpha: float, kind: str, tol: Tolerances) -> Chain:
@@ -272,25 +292,6 @@ def check_irreducible(chain) -> tuple[bool, list[np.ndarray]]:
     return len(comps) == 1, comps
 
 
-def is_bistochastic(chain, tol: Tolerances = TOL) -> bool:
-    """True when the columns of the transition matrix also sum to one."""
-    cols = np.asarray(chain.matrix.sum(axis=0)).ravel()
-    return bool(np.abs(cols - 1.0).max() <= tol.row_sum * chain.n_states)
-
-
-def uniform_density(chain, tol: Tolerances = TOL) -> np.ndarray:
-    """Uniform density over states.
-
-    Invariant for bistochastic chains, reducible or not: exact for
-    every built-in walk on an undirected graph, and the canonical
-    choice for those whose support splits.
-    """
-    if not is_bistochastic(chain, tol):
-        raise ChainError("uniform density requires a bistochastic chain")
-    n = chain.n_states
-    return np.full(n, 1.0 / n)
-
-
 def _power_iteration(P: sp.csr_matrix, tol: float, max_iter: int = 200_000) -> np.ndarray:
     # iterate the lazy chain (I + P)/2: same invariant density, aperiodic
     n = P.shape[0]
@@ -305,11 +306,6 @@ def _power_iteration(P: sp.csr_matrix, tol: float, max_iter: int = 200_000) -> n
     raise ConvergenceError("power iteration did not converge")
 
 
-def _residual(P: sp.csr_matrix, pi: np.ndarray) -> float:
-    """Balance residual |P^T pi - pi|_1 of a density."""
-    return float(np.abs(P.T @ pi - pi).sum())
-
-
 def _normalized(P: sp.csr_matrix, pi) -> tuple[np.ndarray, float]:
     pi = np.asarray(pi, dtype=np.float64)
     pi /= pi.sum()
@@ -319,19 +315,28 @@ def _normalized(P: sp.csr_matrix, pi) -> tuple[np.ndarray, float]:
 def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:
     """Unique invariant probability density of an irreducible chain.
 
+    A reducible chain raises ``ReducibleChainError`` with its strongly
+    connected components, even when it carries a density. Otherwise
+    the chain's own ``density`` is returned, and only a chain without
+    one is solved (``_solve_density``).
+    """
+    irr, comps = check_irreducible(chain)
+    if not irr:
+        raise ReducibleChainError(comps, what=f"{chain.states[:-1]} chain")
+    if chain.density is not None:
+        return chain.density
+    return _solve_density(chain.matrix, tol)
+
+
+def _solve_density(P: sp.csr_matrix, tol: Tolerances = TOL) -> np.ndarray:
+    """Invariant density of an irreducible transition matrix.
+
     Solved directly from the balance equations with a normalization
     row; power iteration takes over for very large chains or when the
     direct solve fails validation. The result is verified to satisfy
     the balance equations within tolerance and to be positive.
     """
-    irr, comps = check_irreducible(chain)
-    if not irr:
-        raise ReducibleChainError(comps, what=f"{chain.states[:-1]} chain")
-    P = chain.matrix
     n = P.shape[0]
-    if n == 1:
-        return np.ones(1)
-
     pi = None
     if n <= tol.power_iteration_threshold:
         A = (P.T - sp.identity(n, format="csr")).tocsr()

@@ -15,13 +15,9 @@ node density is the in-edge mass per node. The same data yields the
 start distribution over first edges: leaving i along (i, j) with
 probability proportional to the invariant mass of (i, j).
 
-``equilibrium_pullback`` is the one constructor, and it picks the
-invariant edge density in one place: a supplied ``pihat``, validated;
-else the chain's own density; else the exact uniform density when the
-chain is bistochastic, as every built-in walk on an undirected graph
-is, and that density passes the residual test a solved one must
-pass; else the solved density (a reducible chain raises
-``ReducibleChainError``).
+``equilibrium_pullback`` is the one constructor. It decides no
+density itself: it takes a supplied ``pihat``, validated, else the
+density the chain carries (see ``Chain``), else the solved one.
 """
 
 from __future__ import annotations
@@ -34,11 +30,9 @@ import scipy.sparse as sp
 from .chains import (
     Chain,
     _require_edge_chain,
-    _residual,
     _validate_density,
     check_irreducible,
     stationary_density,
-    uniform_density,
 )
 from .config import TOL, Tolerances
 from .errors import ChainError, InvariantViolation
@@ -89,17 +83,13 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
                          tol: Tolerances = TOL) -> PullbackData:
     """Collapse an edge chain to its equilibrium node chain.
 
-    The invariant edge density is, in this order: ``pihat`` when
-    supplied (validated first); the chain's own ``density``; the
-    uniform density of a bistochastic chain, accepted when its
-    balance residual is within ``tol.stationary_residual``, the bound
-    a solved density must meet; otherwise the solved density
+    The invariant edge density is ``pihat`` when supplied (validated
+    first), else the chain's own ``density``, else the solved one
     (``stationary_density`` raises ``ReducibleChainError`` with the
-    strongly connected components for a reducible chain). The uniform
-    density is exact for every built-in walk on an undirected graph,
-    and it is invariant, though not unique, for a reducible
-    bistochastic chain such as the never-backtracking walk on an
-    undirected cycle. The identity lifting @ restriction = I and the
+    strongly connected components for a reducible chain). A carried
+    density is used on a reducible chain too: the uniform density of
+    the never-backtracking walk on an undirected cycle is invariant,
+    though not unique. The identity lifting @ restriction = I and the
     balance between in- and out-masses per node are enforced. A chain
     on nodes raises ``ChainError``.
     """
@@ -110,12 +100,7 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     elif chain.density is not None:
         pihat = chain.density
     else:
-        try:
-            pihat = uniform_density(chain, tol)
-        except ChainError:
-            pihat = None
-        if pihat is None or _residual(chain.matrix, pihat) > tol.stationary_residual:
-            pihat = stationary_density(chain, tol=tol)
+        pihat = stationary_density(chain, tol=tol)
 
     m, n = g.m, g.n
     node_density = np.bincount(g.dst, weights=pihat, minlength=n)

@@ -14,16 +14,14 @@ from walktimes import (
     check_irreducible,
     downweighted_edge_chain,
     edge_chain_from_tensor,
-    is_bistochastic,
     nonbacktracking_edge_chain,
     stationary_density,
     transition_tensor,
-    uniform_density,
     uniform_edge_chain,
     uniform_node_chain,
 )
 from walktimes import chains
-from walktimes.chains import _power_iteration
+from walktimes.chains import _power_iteration, _solve_density
 from walktimes.config import TOL
 
 
@@ -76,9 +74,9 @@ class TestUniformEdgeChain:
     def test_bistochastic_on_undirected(self, c4, k33):
         for g in (c4, k33):
             ch = uniform_edge_chain(g)
-            assert is_bistochastic(ch)
             cols = np.asarray(ch.matrix.sum(axis=0)).ravel()
             assert np.allclose(cols, 1.0, atol=1e-12)
+            assert np.array_equal(ch.density, np.full(g.m, 1 / g.m))
 
     def test_state_labels(self, c4):
         ch = uniform_edge_chain(c4)
@@ -115,7 +113,10 @@ class TestNonbacktrackingChain:
             nonbacktracking_edge_chain(path3)
 
     def test_bistochastic(self, k4):
-        assert is_bistochastic(nonbacktracking_edge_chain(k4))
+        ch = nonbacktracking_edge_chain(k4)
+        cols = np.asarray(ch.matrix.sum(axis=0)).ravel()
+        assert np.allclose(cols, 1.0, atol=1e-12)
+        assert np.array_equal(ch.density, np.full(12, 1 / 12))
 
 
 class TestDownweightedChain:
@@ -229,18 +230,21 @@ class TestIrreducibility:
 
 class TestStationaryDensity:
     def test_uniform_walk_degree_formula(self):
+        # the chain carries deg / 2E exactly, and the solve agrees with it
         for seed in range(3):
             g = oracles.random_undirected(12, 8, seed)
-            pi = stationary_density(uniform_node_chain(g))
+            ch = uniform_node_chain(g)
             deg = g.out_degree.astype(float)
-            assert np.allclose(pi, deg / deg.sum(), atol=1e-12)
+            assert np.array_equal(ch.density, deg / deg.sum())
+            assert stationary_density(ch) is ch.density
+            assert np.allclose(_solve_density(ch.matrix), ch.density, atol=1e-12)
 
     def test_nb_k4_uniform_on_edges(self, k4):
-        pihat = stationary_density(nonbacktracking_edge_chain(k4))
+        pihat = _solve_density(nonbacktracking_edge_chain(k4).matrix)
         assert np.allclose(pihat, np.full(12, 1 / 12), atol=1e-12)
 
     def test_directed_cycle(self):
-        pi = stationary_density(uniform_node_chain(oracles.directed_cycle(3)))
+        pi = _solve_density(uniform_node_chain(oracles.directed_cycle(3)).matrix)
         assert np.allclose(pi, np.full(3, 1 / 3), atol=1e-14)
 
     def test_matches_eigen_oracle_on_digraphs(self):
@@ -253,16 +257,19 @@ class TestStationaryDensity:
 
     def test_residual_and_positivity(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.4)
-        pihat = stationary_density(ch)
+        pihat = _solve_density(ch.matrix)
         assert pihat.min() > 0
         assert abs(pihat.sum() - 1) < 1e-12
         res = np.abs(pihat @ ch.matrix - pihat).max()
         assert res <= 1e-12
 
     def test_reducible_reports_components(self, c4):
+        # nb on C4 carries its invariant, though not unique, uniform density
+        ch = nonbacktracking_edge_chain(c4)
+        assert np.array_equal(ch.density, np.full(8, 1 / 8))
         with pytest.raises(ReducibleChainError,
                            match="2 strongly connected components"):
-            stationary_density(nonbacktracking_edge_chain(c4))
+            stationary_density(ch)
 
     def test_power_iteration_agrees(self):
         # the fallback must match the direct solve, including on the
@@ -273,7 +280,7 @@ class TestStationaryDensity:
             nonbacktracking_edge_chain(oracles.complete_graph(5)),
         ]
         for ch in cases:
-            direct = stationary_density(ch)
+            direct = _solve_density(ch.matrix)
             power = _power_iteration(ch.matrix.tocsr(), 1e-13)
             assert np.allclose(direct, power, atol=1e-10)
 
@@ -288,22 +295,8 @@ class TestStationaryDensity:
         tol = dataclasses.replace(TOL, power_iteration_threshold=0,
                                   stationary_residual=-1.0)
         with pytest.raises(ConvergenceError, match="failed validation"):
-            stationary_density(uniform_edge_chain(k4), tol=tol)
+            _solve_density(uniform_edge_chain(k4).matrix, tol=tol)
         assert len(calls) == 1
-
-
-class TestBistochasticHelpers:
-    def test_uniform_density_requires_bistochastic(self):
-        g = oracles.random_digraph(6, 5, 0)
-        ch = uniform_node_chain(g)
-        if not is_bistochastic(ch):
-            with pytest.raises(ChainError, match="bistochastic"):
-                uniform_density(ch)
-
-    def test_uniform_density_values(self, c4):
-        ch = nonbacktracking_edge_chain(c4)
-        assert is_bistochastic(ch)
-        assert np.array_equal(uniform_density(ch), np.full(8, 1 / 8))
 
 
 class TestValidation:
@@ -339,6 +332,12 @@ class TestValidation:
         bad[1, 2] = value
         with pytest.raises(ChainError, match="non-finite"):
             Chain(c4, sp.csr_matrix(bad), "nodes")
+
+    def test_zero_state_chain_builds(self):
+        from walktimes import Graph
+        from walktimes.chains import Chain
+        ch = Chain(Graph(0, []), np.zeros((0, 0)), "nodes")
+        assert ch.n_states == 0 and ch.density is None
 
     def test_support_outside_edges_rejected(self, c4):
         import scipy.sparse as sp

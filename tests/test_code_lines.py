@@ -44,7 +44,7 @@ def test_empty_directory_is_an_error(tmp_path, capsys):
 def test_package_option_counts(capsys):
     assert code_lines.main([]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[-2].split() == ["walktimes.__all__", "names", "56"]
+    assert rows[-2].split() == ["walktimes.__all__", "names", "54"]
     assert rows[-1].split() == ["Tolerances", "fields", "24"]
 
 

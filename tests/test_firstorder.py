@@ -218,6 +218,17 @@ class TestHittingMatrix:
             tm = hitting_matrix(ch)
             assert tm.kappa_spread <= 1e-8
 
+    def test_exact_density_at_2000_nodes(self):
+        # a solved density off deg / 2E by about 1e-11 relative breaks the
+        # return equations on the diagonal by about 1e-7 at this size
+        g = oracles.random_undirected(2000, 4000, 1)
+        ch = uniform_node_chain(g)
+        deg = g.out_degree.astype(float)
+        assert np.array_equal(ch.density, deg / deg.sum())
+        tm = hitting_matrix(ch)
+        assert tm.kappa_spread <= TOL.kemeny_spread
+        assert np.array_equal(np.diag(tm.matrix), np.zeros(g.n))
+
     def test_checks_run_on_the_result(self, petersen):
         ch = uniform_node_chain(petersen)
         for field, message in (("kemeny_spread", "^density-weighted row means"),

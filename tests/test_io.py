@@ -36,6 +36,13 @@ class TestChainRoundTrip:
         assert back.graph.edges == k4.edges
         assert back.graph.labels == k4.labels
 
+    def test_built_in_sidecar_holds_density(self, k4, tmp_path):
+        base = str(tmp_path / "nb_k4")
+        _, sidecar = save_chain(nonbacktracking_edge_chain(k4), base)
+        with open(sidecar, encoding="utf-8") as fh:
+            assert json.load(fh)["density"] == [1 / 12] * 12
+        assert np.array_equal(load_chain(base).density, np.full(12, 1 / 12))
+
     def test_node_chain_with_density(self, tmp_path):
         g = oracles.random_undirected(8, 5, 13)
         ch = uniform_node_chain(g)

@@ -14,13 +14,12 @@ from walktimes import (
     downweighted_edge_chain,
     edge_chain_from_tensor,
     equilibrium_pullback,
-    is_bistochastic,
     nonbacktracking_edge_chain,
     stationary_density,
-    uniform_density,
     uniform_edge_chain,
     uniform_node_chain,
 )
+from walktimes.chains import _solve_density
 from walktimes.config import TOL
 
 
@@ -181,7 +180,7 @@ class TestEquilibriumPullback:
         # the walk can leave {0, 1} for {2, 3} but never come back
         g = Graph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
         ch = uniform_edge_chain(g)
-        assert not is_bistochastic(ch)
+        assert ch.density is None
         with pytest.raises(ReducibleChainError) as got:
             equilibrium_pullback(ch)
         with pytest.raises(ReducibleChainError) as direct:
@@ -199,6 +198,10 @@ class TestEquilibriumPullback:
         pdata = equilibrium_pullback(ch, pihat=pihat)
         assert np.array_equal(pdata.edge_density, pihat)
         assert np.allclose(pdata.node_density, 0.25, atol=1e-15)
+        # a density supplied to the chain wins over the uniform one
+        own = Chain(c4, ch.matrix, "edges", density=pihat)
+        assert np.array_equal(own.density, pihat)
+        assert np.array_equal(equilibrium_pullback(own).edge_density, pihat)
 
     def test_chain_density_before_solve(self, k4):
         ch = uniform_edge_chain(k4)
@@ -256,10 +259,10 @@ class TestExactUniformDensity:
         graphs = [petersen, BOWTIE] + [oracles.random_undirected(8 + 3 * s, 2 * s + 1, s + 80)
                                       for s in range(1, 5)]
         chains = [BUILT_IN_WALKS[walk](g) for g in graphs]
-        solved = [stationary_density(ch) for ch in chains]
+        solved = [_solve_density(ch.matrix) for ch in chains]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a bistochastic chain was solved")
+            raise AssertionError("a chain carrying its density was solved")
         monkeypatch.setattr(pullback, "stationary_density", refuse)
         for ch, pi in zip(chains, solved):
             m = ch.n_states
@@ -271,7 +274,7 @@ class TestExactUniformDensity:
     @pytest.mark.parametrize("seed", [2, 4, 9])
     def test_nb_on_digraph_solves_once(self, seed, monkeypatch):
         ch = nonbacktracking_edge_chain(oracles.random_digraph(9, 14, seed))
-        assert not is_bistochastic(ch)
+        assert ch.density is None
         calls = count_solves(monkeypatch)
         pdata = equilibrium_pullback(ch)
         assert calls == [1]
@@ -280,7 +283,7 @@ class TestExactUniformDensity:
     def test_tensor_chain_solves_once(self, monkeypatch):
         g = oracles.random_undirected(12, 10, 7)
         ch = edge_chain_from_tensor(g, oracles.random_step_weights(g, 3))
-        assert not is_bistochastic(ch)
+        assert ch.density is None
         calls = count_solves(monkeypatch)
         pdata = equilibrium_pullback(ch)
         assert calls == [1]
@@ -288,27 +291,20 @@ class TestExactUniformDensity:
 
     def test_almost_bistochastic_chain_solves(self, k4, monkeypatch):
         # move 1e-11 of one row's mass between two columns: rows still sum
-        # to 1 and columns pass is_bistochastic (tolerance 12 * 1e-12), but
-        # the uniform density's residual 2e-11 / 12 exceeds 1e-12
+        # to 1 and columns to within 1e-11, but the uniform density's
+        # residual 2e-11 / 12 exceeds 1e-12, so the chain carries none
         P = uniform_edge_chain(k4).matrix.copy()
         P.data[0] += 1e-11
         P.data[1] -= 1e-11
         ch = Chain(k4, P, "edges")
         uniform = np.full(12, 1 / 12)
-        assert is_bistochastic(ch)
+        assert ch.density is None
         assert np.abs(P.T @ uniform - uniform).sum() > TOL.stationary_residual
+        # a looser stationary bound admits the uniform density
+        loose = dataclasses.replace(TOL, stationary_residual=1e-11)
+        assert np.array_equal(Chain(k4, P, "edges", tol=loose).density, uniform)
         calls = count_solves(monkeypatch)
         pdata = equilibrium_pullback(ch)
         assert calls == [1]
         assert not np.array_equal(pdata.edge_density, uniform)
         assert np.array_equal(pdata.edge_density, stationary_density(ch))
-
-    def test_uniform_density_uses_callers_tolerance(self, k4):
-        P = uniform_edge_chain(k4).matrix.copy()
-        P.data[0] += 1e-11
-        P.data[1] -= 1e-11
-        ch = Chain(k4, P, "edges")
-        assert np.array_equal(uniform_density(ch), np.full(12, 1 / 12))
-        strict = dataclasses.replace(TOL, row_sum=1e-14)
-        with pytest.raises(ChainError, match="bistochastic"):
-            uniform_density(ch, strict)
