@@ -43,21 +43,28 @@ per node and the graph's adjacency pattern instead of one unknown per
 edge state. A pair whose 2x2 block is singular, a
 walk forced both ways along an edge, keeps its two edge unknowns.
 
-One sparse LU per chain serves every target set. The chain factors,
-once, the full-size system of a base node k0 of least in-degree,
-each unknown k0 drops held at zero by a unit row. Another set S
-changes only the rows of S and k0, of the forced-pair unknowns they
-drop, and of the tails of the in-edges of S and k0, whose diagonals
-gain or lose pair terms; Woodbury's identity turns those r rows into
-r base solves and one dense r x r solve. A set with r above
-64 + N/16, for N unknowns, factors its own reduced system instead,
-which is then the cheaper route. ``_node_sets_steps`` solves many
-sets in blocks: the array work is shared, while each set keeps its
-own base and capacitance solves and so the digits
-``node_target_steps`` gives it. Each result takes one step of
-iterative refinement on the edge system, its residual formed in
-extended precision, and the residual test of ``_direct_solve`` then
-decides: a rejected target, like a failed base factorization, goes to
+One base per chain serves every target set: the full-size system B0
+of a base node k0 of least in-degree, each unknown k0 drops held at
+zero by a unit row. A call that solves many target sets, or any call
+on a small system, inverts it once; G = B0^-1 is the fundamental
+matrix of the walk absorbed at k0 (Kemeny and Snell, 1960). Other
+calls, and systems whose inverse would not fit ``_DENSE_BYTES``
+(N > 2,896 unknowns), take one sparse LU of B0. Another set S changes
+only the rows R of S and k0, of the forced-pair unknowns they drop,
+and of the tails of the in-edges of S and k0, whose diagonals gain or
+lose pair terms. Woodbury's identity (Hager, SIAM Review 31, 1989)
+turns those rows into the columns R of G, or |R| sparse base solves,
+and one dense |R| x |R| solve. On the sparse route a set with |R|
+above 64 + N/16 factors its own reduced system instead, which is then
+the cheaper route. With G, a set's first right-hand side differs from
+that of the empty set only near S, so its base solution is a cached
+vector plus a few columns of G. ``_node_sets_steps`` solves sets in
+blocks of ``_BLOCK``: the array work is shared, while each set keeps
+its own products, of one shape whatever its block, and so the digits
+``node_target_steps`` gives it on either base. Each result takes one
+step of iterative refinement on the edge system, its residual formed
+in extended precision. The residual test of ``_direct_solve`` then
+decides: a rejected target, like a singular base, goes to
 ``chain_steps``.
 """
 
@@ -67,7 +74,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .chains import check_irreducible
 from .config import TOL, Tolerances
@@ -79,15 +85,44 @@ __all__ = ["reach_probabilities", "expected_steps", "chain_steps", "node_target_
 # a reversal pair whose 2x2 block has a smaller determinant keeps its
 # edge unknowns: eliminating it would amplify roundoff by 1/det
 _PAIR_PIVOT = 2.0**-10
-# a target set whose correction changes more than this many rows, plus
-# one per 16 unknowns, factors its own system: past it the correction's
-# base solves cost more than a factorization (measured crossovers near
-# 80, 110 and 150 rows at 100, 600 and 2,000 unknowns)
+# the node-space base is inverted densely only while the inverse and
+# the three more arrays of its size that forming it holds, in float64,
+# fit this many bytes (N <= 2,896 unknowns); a larger one keeps the
+# sparse LU of its base system
+_DENSE_BYTES = 2**28
+# within that budget, a system of at most this many unknowns is always
+# inverted: at 128 the inverse took as long as one target set's sparse
+# LU and solves (3 ms), and it spares loading the sparse factorization
+_DENSE_SIZE = 128
+# a larger one is inverted for a call that solves at least one target
+# set per this many unknowns, and otherwise takes the sparse LU: on nb
+# walks of synthetic cores, with one BLAS thread, the inverse paid off
+# from about 16 sets at 300 unknowns, 38 at 600, 55 at 1,000 and 90 at
+# 2,000
+_DENSE_SETS = 20
+# on the sparse route, a target set whose correction changes more than
+# this many rows, plus one per 16 unknowns, factors its own system: past
+# it the correction's base solves cost more than a factorization
+# (measured crossovers near 80, 110 and 150 rows at 100, 600 and 2,000
+# unknowns)
 _WOODBURY_ROWS = 64
-# entries of the edge-by-set arrays one block of target sets holds:
-# on a 100-node graph blocks of 27 sets run as fast as one block of all
-# 100, whose arrays added 6 MB to a command's peak memory
-_BLOCK = 2**14
+# target sets in one block. A block's refinement is one product of the
+# dense inverse with exactly this many right-hand sides, zero-padded:
+# BLAS rounds a product by its shape, so a set's digits do not depend
+# on its block. On a 2,000-node core, all 2,000 targets took as long
+# in blocks of 32 as of 64, whose arrays added 26 MB to the peak
+_BLOCK = 32
+
+
+def splu(A, **kwargs):
+    """SuperLU of the sparse matrix A.
+
+    ``scipy.sparse.linalg`` is imported on the first call, so queries
+    that factor no sparse system never load it.
+    """
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(A, **kwargs)
 
 
 def _direct_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances):
@@ -260,7 +295,7 @@ def _pair_form(chain):
     return c, np.where(rev >= 0, c - b, 0.0), rev
 
 
-@dataclass(frozen=True)
+@dataclass
 class _NodeSystem:
     """Target-independent part of the node-space hitting system.
 
@@ -268,28 +303,32 @@ class _NodeSystem:
     ``forced`` pair. Row j reads S_j = sum of x over the out-edges of
     j, an eliminated edge e = (i, j) written as
     x_e = (h_e - d_e h_(rev e)) / det_e + alpha_e S_j + beta_e S_i
-    for interior right-hand side h; the row of forced edge e reads
-    x_e + d_e x_(rev e) - c_e S_j = h_e.
+    for interior right-hand side h: x = ``pair`` h + ``lift`` S. The
+    row of forced edge e reads x_e + d_e x_(rev e) - c_e S_j = h_e.
 
-    ``base`` factors the system of the target node ``k0`` at full
+    ``base_matrix`` B0 is the system of the target node ``k0`` at full
     size, each unknown it drops (``base_pinned``) held at zero by a
-    unit row, with the pair terms of k0's in-edges on the diagonals
-    of their tails (``base_diag``). Every other target set changes a
-    few of its rows.
+    unit row, with the pair terms of k0's in-edges on the diagonals of
+    their tails (``base_diag``). Every other target set changes a few
+    of its rows. ``base`` is B0^-1, dense, or the SuperLU of B0, made
+    by the first call that needs it (``_factor_base``). ``rhs0`` is the
+    first right-hand side of the empty target set, every edge interior,
+    and ``y0`` its solution through the dense base.
     """
 
     matrix: sp.csr_matrix
     tails: sp.csr_matrix       # node-by-edge tail indicator: sums over out-edges
-    chain_ext: sp.csr_matrix   # the chain's matrix in extended precision
-    d: np.ndarray
-    rev: np.ndarray       # reversal of each edge, 0 where d is 0
-    inv_det: np.ndarray   # zero on forced edges, like alpha and beta
-    alpha: np.ndarray
+    residual: sp.csr_matrix    # [P - I | 1], extended precision: [x; 1] to 1 + P x - x
+    pair: sp.csr_matrix   # edge-by-edge, zero on forced edges, like lift
+    lift: sp.csr_matrix   # edge-by-node
     beta: np.ndarray
     forced: np.ndarray    # edge index of each extra unknown
-    base: object          # SuperLU of the k0 system
+    base_matrix: sp.csc_matrix
     base_pinned: np.ndarray
     base_diag: np.ndarray
+    rhs0: np.ndarray
+    base: object = None   # dense B0^-1, or the SuperLU of B0
+    y0: np.ndarray | None = None
 
 
 def _target_rows(g, tails, beta, forced, in_S):
@@ -316,6 +355,33 @@ def _factor(A: sp.spmatrix):
         return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         return None
+
+
+def _factor_base(ns: _NodeSystem, sets: int) -> bool:
+    """Make ``ns.base`` serve a call that solves ``sets`` target sets;
+    False when B0 is singular.
+
+    Within ``_DENSE_BYTES``, a system of at most ``_DENSE_SIZE``
+    unknowns, or a call of at least one set per ``_DENSE_SETS``
+    unknowns, forms the dense inverse: its O(N^3) cost pays off over
+    many sets, whose base solves become products. Any other call takes
+    the sparse LU of B0. Once formed, the dense inverse serves every
+    later call.
+    """
+    size = ns.base_matrix.shape[0]
+    if isinstance(ns.base, np.ndarray):
+        return True
+    if (4 * size**2 * 8 <= _DENSE_BYTES
+            and (size <= _DENSE_SIZE or sets * _DENSE_SETS >= size)):
+        try:
+            # column-major, so the columns Woodbury takes are contiguous
+            G = np.linalg.inv(ns.base_matrix.T.toarray()).T
+        except np.linalg.LinAlgError:
+            return False
+        ns.base, ns.y0 = G, G @ ns.rhs0
+    elif ns.base is None:
+        ns.base = _factor(ns.base_matrix)
+    return ns.base is not None
 
 
 def _assemble_node_system(chain) -> _NodeSystem | None:
@@ -352,20 +418,53 @@ def _assemble_node_system(chain) -> _NodeSystem | None:
     pinned, diag = pinned[:, 0], diag[:, 0]
     on = ~pinned[matrix.row]
     idx = np.arange(size)
-    lu = _factor(sp.coo_matrix((np.concatenate([matrix.data[on], np.where(pinned, 1.0, diag)]),
-                                (np.concatenate([matrix.row[on], idx]),
-                                 np.concatenate([matrix.col[on], idx]))), shape=(size, size)))
-    if lu is None:
-        return None
-    return _NodeSystem(matrix.tocsr(), tails, chain.matrix.astype(np.longdouble),
-                       d, r, 1.0 / det, alpha, beta, fe, lu, pinned, diag)
+    base = sp.csc_matrix((np.concatenate([matrix.data[on], np.where(pinned, 1.0, diag)]),
+                          (np.concatenate([matrix.row[on], idx]),
+                           np.concatenate([matrix.col[on], idx]))), shape=(size, size))
+    edges = np.arange(g.m)
+    pair = sp.csr_matrix((np.concatenate([1.0 / det, -d / det]),
+                          (np.concatenate([edges, edges]), np.concatenate([edges, r]))),
+                         shape=(g.m, g.m))
+    lift = sp.csr_matrix((np.concatenate([alpha, beta]),
+                          (np.concatenate([edges, edges]), np.concatenate([g.dst, g.src]))),
+                         shape=(g.m, n))
+    rhs0 = np.concatenate([tails @ (pair @ np.ones(g.m)), np.ones(fe.size)])
+    residual = sp.hstack([chain.matrix - sp.identity(g.m), np.ones((g.m, 1))], format="csr")
+    return _NodeSystem(matrix.tocsr(), tails, residual.astype(np.longdouble),
+                       pair, lift, beta, fe, base, pinned, diag, rhs0)
 
 
 def _node_system(chain) -> _NodeSystem | None:
-    """The chain's node-space system and base LU, built once and cached on it."""
+    """The chain's node-space system, built once and cached on it."""
     if chain._node_system is None:
         chain._node_system = _assemble_node_system(chain) or False
     return chain._node_system or None
+
+
+def _base_solve(ns: _NodeSystem, b, first: bool):
+    """B0^-1 b for the right-hand sides in the columns of b, at most
+    ``_BLOCK`` of them.
+
+    Through the sparse LU, one solve per column. With the dense base,
+    a ``first`` right-hand side differs from ``rhs0`` only near its
+    set: its solution is ``y0`` plus those columns of G. Any other
+    block is one product with G, padded to ``_BLOCK`` columns.
+    """
+    G = ns.base
+    y = np.empty(b.shape)
+    if not isinstance(G, np.ndarray):
+        for k in range(b.shape[1]):
+            y[:, k] = G.solve(b[:, k])
+        return y
+    if first:
+        delta = b - ns.rhs0[:, None]
+        for k in range(b.shape[1]):
+            D = np.flatnonzero(delta[:, k])
+            y[:, k] = ns.y0 + G[:, D] @ delta[D, k]
+        return y
+    padded = np.zeros((_BLOCK, b.shape[0]))
+    padded[:b.shape[1]] = b.T
+    return (padded @ G.T)[:b.shape[1]].T
 
 
 def _set_solver(ns: _NodeSystem, pinned, diag, cols):
@@ -375,29 +474,32 @@ def _set_solver(ns: _NodeSystem, pinned, diag, cols):
     A set's system differs from the base only in the rows R where an
     unknown becomes or stops being pinned, or its diagonal pair terms
     change: B_S = B_0 + U V' with U the columns R of the identity and
-    V' those rows of B_S - B_0. Woodbury's identity (Hager, SIAM
-    Review 31, 1989) gives B_S^-1 b = y - W C^-1 V' y with
-    y = B_0^-1 b, W = B_0^-1 U and the |R|-sized capacitance
-    C = I + V' W. When |R| is a large share of the unknowns, its base
-    solves and dense work cost more than a factorization, and the
-    set's reduced system, without its pinned unknowns, is factored
-    instead. Sets with equally many rows R share each array
-    operation; every set still takes its own base solves and its own
-    capacitance solve, so its digits do not depend on the other sets.
+    V' those rows of B_S - B_0. Woodbury's identity gives
+    B_S^-1 b = y - W C^-1 V' y with y = B_0^-1 b, W = B_0^-1 U and the
+    |R|-sized capacitance C = I + V' W, which needs only the rows R of
+    the system. With the dense base W is the columns R of B0^-1. With
+    the sparse LU, W takes |R| base solves, and a set whose |R| is a
+    large share of the unknowns factors its own reduced system, without
+    its pinned unknowns, instead. Sets with equally many rows R share
+    each array operation; every set still takes its own products and
+    its own capacitance solve, so its digits do not depend on the other
+    sets.
 
-    Returns the solver, which maps right-hand sides (N x K), whose
-    pinned entries it takes as zero, to the solutions, and the mask of
-    the columns it cannot serve.
+    Returns the solver and the mask of the columns it cannot serve.
+    The solver maps right-hand sides (N x K), whose pinned entries it
+    takes as zero, to the solutions; ``first`` marks a first pass's
+    right-hand sides (``_base_solve``).
     """
     size, K = pinned.shape
+    dense = isinstance(ns.base, np.ndarray)
     keep, keep0 = ~pinned, ~ns.base_pinned[:, None]
     changed = (pinned != ns.base_pinned[:, None]) | (keep & keep0 & (diag != ns.base_diag[:, None]))
     rows = changed.sum(axis=0)
     failed = np.zeros(K, dtype=bool)
-    direct, woodbury = [], []
+    direct, groups = [], []
     for r in np.unique(rows[cols]):
         ks = cols[rows[cols] == r]
-        if r > _WOODBURY_ROWS + size // 16:
+        if not dense and r > _WOODBURY_ROWS + size // 16:
             for k in ks:
                 idx = np.flatnonzero(keep[:, k])
                 lu = _factor(ns.matrix[idx][:, idx] + sp.diags(diag[idx, k]))
@@ -412,38 +514,50 @@ def _set_solver(ns: _NodeSystem, pinned, diag, cols):
         sign = keep[R, ks[:, None]] - keep0[R, 0].astype(np.float64)
         shift = (np.where(keep[R, ks[:, None]], diag[R, ks[:, None]], 0.0)
                  - np.where(keep0[R, 0], ns.base_diag[R], 0.0) - sign)
-        U = np.zeros((ks.size, size, r))
-        U[i, R, np.arange(r)] = 1.0
-        W = np.stack([ns.base.solve(u) for u in U])
-        MW = (ns.matrix @ W.transpose(1, 0, 2).reshape(size, -1)).reshape(size, ks.size, r)
-        C = np.eye(r) + sign[..., None] * MW.transpose(1, 0, 2)[i, R] + shift[..., None] * W[i, R]
-        woodbury.append((ks, R, sign, shift, W, C))
+        if dense:
+            W = np.ascontiguousarray(ns.base[:, R].transpose(1, 0, 2))
+        else:
+            U = np.zeros((ks.size, size, r))
+            U[i, R, np.arange(r)] = 1.0
+            W = np.stack([ns.base.solve(u) for u in U])
+        # the rows R of M, set i's columns moved to i * size: block
+        # diagonal, so one product serves every set of the group
+        MR = ns.matrix[R.ravel()]
+        set_of = np.repeat(np.arange(ks.size * r) // r, np.diff(MR.indptr))
+        MR = sp.csr_matrix((MR.data, MR.indices + set_of * size, MR.indptr),
+                           shape=(ks.size * r, ks.size * size))
+        MW = (MR @ W.reshape(ks.size * size, r)).reshape(ks.size, r, r)
+        C = np.eye(r) + sign[..., None] * MW + shift[..., None] * W[i, R]
+        groups.append((ks, R, sign, shift, W, MR, C))
+    woodbury = np.concatenate([np.zeros(0, dtype=np.int64)] + [ks for ks, *_ in groups])
 
-    def solve(b):
+    def solve(b, first):
         b = np.where(keep, b, 0.0)
         z = np.zeros(b.shape)
         for k, idx, lu in direct:
             z[idx, k] = lu.solve(b[idx, k])
-        for ks, R, sign, shift, W, C in woodbury:
-            y = np.column_stack([ns.base.solve(b[:, k]) for k in ks])
+        y = np.zeros(b.shape)
+        y[:, woodbury] = _base_solve(ns, b[:, woodbury], first)
+        for ks, R, sign, shift, W, MR, C in groups:
+            yk = y[:, ks]
             i = np.arange(ks.size)[:, None]
-            v = sign * (ns.matrix @ y)[R, i] + shift * y[R, i]
+            v = sign * (MR @ yk.T.ravel()).reshape(R.shape) + shift * yk[R, i]
             try:
                 c = np.linalg.solve(C, v[..., None])
             except np.linalg.LinAlgError:   # a singular capacitance matrix
                 failed[ks] = True
                 continue
-            z[:, ks] = y - (W @ c)[..., 0].T
+            z[:, ks] = yk - (W @ c)[..., 0].T
         return z
     return solve, failed
 
 
-def _node_space_steps(chain, in_S, tol: Tolerances):
+def _node_space_steps(chain, in_S, sets: int, tol: Tolerances):
     """Times to the node sets in the columns of the node mask ``in_S``
-    (n x K) through the node-space system: an m x K array, and the
-    mask of the columns it serves. A column is not served when the
-    system does not apply or its result fails the edge system's
-    validation."""
+    (n x K), one block of a call that solves ``sets`` target sets,
+    through the node-space system: an m x K array, and the mask of the
+    columns it serves. A column is not served when the system does not
+    apply or its result fails the edge system's validation."""
     g = chain.graph
     n = g.n
     x = (in_S[g.dst] & ~in_S[g.src]).astype(np.float64)   # boundary values
@@ -453,37 +567,39 @@ def _node_space_steps(chain, in_S, tol: Tolerances):
     ns = _node_system(chain)
     if ns is None:
         return x, served
+    if not _factor_base(ns, sets):
+        chain._node_system = False
+        return x, served
     pinned, diag, interior = _target_rows(g, ns.tails, ns.beta, ns.forced, in_S)
     solver, failed = _set_solver(ns, pinned, diag, np.flatnonzero(~served))
 
-    def solve(h, known):
+    def solve(h, known, first):
         """x for right-hand sides h on the interior, boundary values ``known``."""
-        g0 = (h - ns.d[:, None] * h[ns.rev]) * ns.inv_det[:, None]
+        g0 = ns.pair @ h
         fixed = ns.tails @ np.where(interior, g0, known)
-        full = solver(np.concatenate([fixed, h[ns.forced]]))
-        S = full[:n]
-        y = g0 + ns.alpha[:, None] * S[g.dst] + ns.beta[:, None] * S[g.src]
+        full = solver(np.concatenate([fixed, h[ns.forced]]), first)
+        failed[~np.isfinite(full).all(axis=0)] = True
+        y = g0 + ns.lift @ full[:n]
         y[ns.forced] = full[n:]
         return y
 
     def settle(y):
         """y on the interior of the columns still solved, x elsewhere."""
-        failed[~np.isfinite(y).all(axis=0, where=interior)] = True
         return np.where(interior & ~failed, y, x)
 
     # solve, then one step of iterative refinement on the edge system:
     # writing x through the node sums cancels digits the edge residual,
     # formed in extended precision, recovers
-    x = settle(solve(interior.astype(np.float64), x))
-    xl = x.astype(np.longdouble)
-    h = np.where(interior, 1.0 + ns.chain_ext @ xl - xl, 0.0).astype(np.float64)
-    x = settle(x + solve(h, 0.0))
-    # the test _direct_solve applies, on the interior edge equations
-    w = np.where(interior, x, 0.0)
-    resid = np.abs(np.where(interior, w - chain.matrix @ x - 1.0, 0.0)).max(axis=0)
-    failed |= (w < -1e-9).any(axis=0)
-    failed |= resid > tol.direct_solve_residual * np.maximum(1.0, np.abs(w).max(axis=0))
-    return np.where(interior, np.maximum(x, 0.0), x), served | ~failed
+    x = settle(solve(interior.astype(np.float64), x, True))
+    xl = np.concatenate([x, np.ones((1, x.shape[1]))], dtype=np.longdouble)
+    h = np.where(interior, (ns.residual @ xl).astype(np.float64), 0.0)
+    x = settle(x + solve(h, 0.0, False))
+    # the test _direct_solve applies, on the interior edge equations; the
+    # boundary values are 0 and 1
+    resid = np.abs(np.where(interior, x - chain.matrix @ x - 1.0, 0.0)).max(axis=0)
+    failed |= (x < -1e-9).any(axis=0)
+    failed |= resid > tol.direct_solve_residual * np.maximum(1.0, np.abs(x).max(axis=0))
+    return np.maximum(x, 0.0), served | ~failed
 
 
 def node_target_steps(chain, S, tol: Tolerances = TOL):
@@ -501,18 +617,18 @@ def _node_sets_steps(chain, sets, tol: Tolerances = TOL):
     """``node_target_steps`` for each node set in ``sets``, in turn.
 
     The sets are solved together in blocks; the digits of a set do not
-    depend on the other sets in its block.
+    depend on the other sets in its block. How many sets the call
+    solves picks the node-space base (``_factor_base``).
     """
     g = chain.graph
     in_S = np.zeros((g.n, len(sets)), dtype=bool)
     for c, S in enumerate(sets):
         in_S[np.asarray(S, dtype=np.int64), c] = True
-    step = max(1, _BLOCK // g.m)
-    for i in range(0, len(sets), step):
-        block = in_S[:, i:i + step]
+    for i in range(0, len(sets), _BLOCK):
+        block = in_S[:, i:i + _BLOCK]
         served = np.zeros(block.shape[1], dtype=bool)
         if check_irreducible(chain)[0]:
-            x, served = _node_space_steps(chain, block, tol)
+            x, served = _node_space_steps(chain, block, len(sets), tol)
         for k in range(block.shape[1]):
             if served[k]:
                 yield x[:, k], np.ones(g.m, dtype=bool), np.ones(g.m)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
-from scipy.sparse.linalg import spsolve
 
 from .config import TOL, Tolerances
 from .errors import (
@@ -27,7 +25,7 @@ from .errors import (
     GraphStructureError,
     ReducibleChainError,
 )
-from .graph import Graph, _continuations, dangling_edges, line_graph
+from .graph import Graph, _continuations, _reaches_all, dangling_edges, line_graph
 
 __all__ = [
     "Chain",
@@ -279,15 +277,20 @@ def check_irreducible(chain) -> tuple[bool, list[np.ndarray]]:
     """Strong connectivity of the support of the transition matrix.
 
     Returns the verdict and the strongly connected components as
-    arrays of state indices.
+    arrays of state indices. State 0 reaching every state and every
+    state reaching state 0 decide it; only a reducible chain has its
+    components listed, by ``scipy.sparse.csgraph``.
     """
     if chain._components is None:
-        ncomp, labels = csgraph.connected_components(
-            chain.matrix, directed=True, connection="strong"
-        )
-        chain._components = [
-            np.flatnonzero(labels == c) for c in range(ncomp)
-        ]
+        P = chain.matrix
+        back = P.tocsc()
+        if P.shape[0] and _reaches_all(P.indptr, P.indices) and _reaches_all(back.indptr, back.indices):
+            chain._components = [np.arange(P.shape[0])]
+        else:
+            from scipy.sparse import csgraph
+
+            ncomp, labels = csgraph.connected_components(P, directed=True, connection="strong")
+            chain._components = [np.flatnonzero(labels == c) for c in range(ncomp)]
     comps = chain._components
     return len(comps) == 1, comps
 
@@ -336,6 +339,8 @@ def _solve_density(P: sp.csr_matrix, tol: Tolerances = TOL) -> np.ndarray:
     direct solve fails validation. The result is verified to satisfy
     the balance equations within tolerance and to be positive.
     """
+    from scipy.sparse.linalg import spsolve
+
     n = P.shape[0]
     pi = None
     if n <= tol.power_iteration_threshold:

@@ -9,8 +9,9 @@ Instances are immutable after construction; derived structures are
 precomputed so shared read access is safe.
 
 The module needs numpy alone: ``diameter`` is a bit-packed
-breadth-first search, and only ``Graph.adjacency`` and
-``is_strongly_connected`` import scipy, when they are called.
+breadth-first search, ``is_strongly_connected`` a breadth-first search
+each way from node 0, and only ``Graph.adjacency`` imports scipy,
+when it is called.
 """
 
 from __future__ import annotations
@@ -453,15 +454,26 @@ def diameter(g: Graph) -> int:
     return levels
 
 
+def _reaches_all(ptr: np.ndarray, nbrs: np.ndarray) -> bool:
+    """Whether state 0 reaches every state, the successors of state i
+    being ``nbrs[ptr[i]:ptr[i + 1]]``: breadth first, one pass per level."""
+    seen = np.zeros(len(ptr) - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        starts = ptr[frontier]
+        counts = ptr[frontier + 1] - starts
+        # the positions in nbrs of the frontier's successors
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        found = nbrs[pos]
+        frontier = np.unique(found[~seen[found]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
 def is_strongly_connected(g: Graph) -> bool:
     """True when every node can reach every other by directed paths."""
     if g.n <= 1:
         return True
-    if g.m == 0:
-        return False
-    from scipy.sparse import csgraph  # lazily, as in Graph.adjacency
-
-    ncomp, _ = csgraph.connected_components(
-        g.adjacency(), directed=True, connection="strong"
-    )
-    return ncomp == 1
+    return (_reaches_all(g._out_ptr, g.dst[g._out_order])
+            and _reaches_all(g._in_ptr, g.src[g._in_order]))

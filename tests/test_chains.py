@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 import oracles
 from walktimes import (
     ChainError,
+    Graph,
     ConvergenceError,
     DanglingEdgeError,
     ReducibleChainError,
     check_irreducible,
+    dangling_edges,
     downweighted_edge_chain,
     edge_chain_from_tensor,
     nonbacktracking_edge_chain,
@@ -226,6 +229,79 @@ class TestIrreducibility:
             g = oracles.random_undirected(10, 6, seed)
             ok, _ = check_irreducible(downweighted_edge_chain(g, 0.3))
             assert ok
+
+
+class TestIrreducibilityAgainstNetworkx:
+    """``check_irreducible``'s breadth-first verdict against networkx's
+    strongly connected components; a reducible chain lists csgraph's."""
+
+    @staticmethod
+    def assert_matches(chain):
+        nx = pytest.importorskip("networkx")
+        n = chain.matrix.shape[0]
+        rows, cols = chain.matrix.nonzero()
+        dg = nx.DiGraph()
+        dg.add_nodes_from(range(n))
+        dg.add_edges_from(zip(rows.tolist(), cols.tolist()))
+        want = {frozenset(c) for c in nx.strongly_connected_components(dg)}
+        ok, comps = check_irreducible(chain)
+        assert ok == (len(want) == 1)
+        assert {frozenset(c.tolist()) for c in comps} == want
+        assert sum(len(c) for c in comps) == n
+        return ok
+
+    @staticmethod
+    def pattern(n, density, rng):
+        """A stand-in chain: a random sparse support, self-loops and empty rows allowed."""
+        import scipy.sparse as sp
+        P = sp.random(n, n, density=density, format="csr", random_state=rng)
+        return types.SimpleNamespace(matrix=P, _components=None)
+
+    def test_random_digraph_chains(self):
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for seed in range(40):
+            n = int(rng.integers(2, 30))
+            arcs = {(int(i), int(j)) for i, j in rng.integers(n, size=(int(rng.integers(n, 4 * n)), 2))
+                    if i != j}
+            arcs |= {(i, (i + 1) % n) for i in range(n) if seed % 2 and i % 7}   # near-cycles
+            g = Graph(n, sorted(arcs))
+            if (g.out_degree == 0).any():
+                continue
+            verdicts.add(self.assert_matches(uniform_node_chain(g)))
+        assert verdicts == {True, False}
+
+    def test_random_sparse_chains(self):
+        rng = np.random.default_rng(8)
+        verdicts = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            verdicts.add(self.assert_matches(self.pattern(n, float(rng.uniform(0.02, 0.3)), rng)))
+        assert verdicts == {True, False}
+
+    def test_edge_chains(self, c4, k4, petersen):
+        for g in (c4, k4, petersen, oracles.random_digraph(9, 6, 2)):
+            self.assert_matches(uniform_edge_chain(g))
+            if not dangling_edges(g):
+                self.assert_matches(nonbacktracking_edge_chain(g))
+
+    def test_zero_and_one_state(self):
+        import scipy.sparse as sp
+        empty = types.SimpleNamespace(matrix=sp.csr_matrix((0, 0)), _components=None)
+        assert check_irreducible(empty) == (False, [])
+        for P in (sp.csr_matrix((1, 1)), sp.csr_matrix(np.ones((1, 1)))):
+            one = types.SimpleNamespace(matrix=P, _components=None)
+            ok, comps = check_irreducible(one)
+            assert ok and [c.tolist() for c in comps] == [[0]]
+            self.assert_matches(types.SimpleNamespace(matrix=P, _components=None))
+
+    def test_long_cycle(self):
+        # breadth first from state 0 takes about 1,000 levels on the node
+        # chain and 2,000 on the edge chain of the uniform walk
+        g = oracles.cycle_graph(2000)
+        for ch in (uniform_node_chain(g), uniform_edge_chain(g)):
+            assert self.assert_matches(ch)
+        assert not self.assert_matches(nonbacktracking_edge_chain(g))
 
 
 class TestStationaryDensity:

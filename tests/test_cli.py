@@ -607,10 +607,20 @@ def fresh(*argv):
 
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# the sparse factorization and the component listing, with scipy.linalg,
+# which scipy.sparse.linalg imports
+SOLVER_PACKAGES = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg")
+LOADED_SOLVERS = f"sorted(m for m in {SOLVER_PACKAGES!r} if m in sys.modules)"
 
 
 class TestStartup:
-    """info, strip and usage errors start without scipy; solvers import it."""
+    """info, strip and usage errors start without scipy; solvers import it.
+
+    Built-in walks on a small undirected graph take a dense node-space
+    base, whatever the query, and a numpy irreducibility test, so they
+    load no sparse factorization; ``validate`` still solves over the
+    edge states.
+    """
 
     @pytest.mark.parametrize("argv, exit_code", [
         (["info"], 0),
@@ -635,3 +645,41 @@ class TestStartup:
         done = fresh("-m", "walktimes.cli", *argv)
         assert done.returncode == 0, done.stderr
         assert done.stdout == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["hitting"],
+        ["access"],
+        ["alpha-sweep"],
+        ["return-times", "--set", "0,1"],
+        ["simulate", "--source", "0", "--target", "2", "--trials", "200"],
+    ], ids=["hitting", "access", "alpha-sweep", "return-times-set", "simulate"])
+    def test_builtin_walks_load_no_sparse_factorization(self, k4_file, argv):
+        child = ("import json, sys\n"
+                 "from walktimes.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 f"print(json.dumps([code, {LOADED_SOLVERS}]))")
+        done = fresh("-c", child, *argv, "--input", k4_file, "--undirected")
+        assert done.stdout.splitlines()[-1] == json.dumps([0, []]), done.stderr
+
+    def test_library_setup_loads_no_sparse_factorization(self, k4_file):
+        child = ("import json, sys\n"
+                 "from walktimes import (equilibrium_pullback, nonbacktracking_edge_chain,\n"
+                 "                       read_graph, strip_leaves)\n"
+                 "g = strip_leaves(read_graph(sys.argv[1], undirected=True)).graph\n"
+                 "equilibrium_pullback(nonbacktracking_edge_chain(g))\n"
+                 f"print(json.dumps({LOADED_SOLVERS}))")
+        done = fresh("-c", child, k4_file)
+        assert done.stdout == "[]\n", done.stderr
+
+    def test_validate_still_loads_them(self, k4_file, c4_file):
+        child = ("import json, sys\n"
+                 "from walktimes.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 f"print(json.dumps({LOADED_SOLVERS}))")
+        # the line-graph route factors edge systems; C4's nb chain is
+        # reducible, so its components are listed too
+        for path, loaded in ((k4_file, ["scipy.linalg", "scipy.sparse.linalg"]),
+                             (c4_file, sorted(SOLVER_PACKAGES))):
+            done = fresh("-c", child, "validate", "--trials", "200",
+                         "--input", path, "--undirected")
+            assert done.stdout.splitlines()[-1] == json.dumps(loaded), done.stderr

@@ -209,14 +209,23 @@ class TestHittingMatrix:
             assert np.array_equal(np.diag(T), np.zeros(ch.n_states))
 
     def test_no_factorization_on_irreducible_chain(self, petersen, monkeypatch):
+        # one dense fundamental matrix per chain, whatever the node-space
+        # byte budget: the time matrix takes no node-space base
         import walktimes._solvers as solvers
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sparse LU was factored")
         monkeypatch.setattr(solvers, "splu", refuse)
-        for ch in (uniform_node_chain(petersen), nonbacktracking_edge_chain(petersen)):
-            tm = hitting_matrix(ch)
-            assert tm.kappa_spread <= 1e-8
+        inverses = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: inverses.append(A.shape[0]) or real(A))
+        for budget in (solvers._DENSE_BYTES, 0):
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            for ch in (uniform_node_chain(petersen), nonbacktracking_edge_chain(petersen)):
+                inverses.clear()
+                tm = hitting_matrix(ch)
+                assert tm.kappa_spread <= 1e-8
+                assert inverses == [ch.n_states]
 
     def test_exact_density_at_2000_nodes(self):
         # a solved density off deg / 2E by about 1e-11 relative breaks the

@@ -361,3 +361,21 @@ class TestStrongConnectivity:
         for seed in range(6):
             g = oracles.random_digraph(9, seed % 3, seed)
             assert is_strongly_connected(g) == oracles.strongly_connected_oracle(g)
+
+    def test_matches_networkx_on_random_arcs(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(4)
+        verdicts = set()
+        for _ in range(40):
+            n = int(rng.integers(2, 25))
+            arcs = sorted({(int(i), int(j)) for i, j in rng.integers(n, size=(3 * n, 2)) if i != j})
+            dg = nx.DiGraph(arcs)
+            dg.add_nodes_from(range(n))
+            verdict = is_strongly_connected(Graph(n, arcs))
+            assert verdict == nx.is_strongly_connected(dg)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_no_or_one_node(self):
+        assert is_strongly_connected(Graph(0, []))
+        assert is_strongly_connected(Graph(1, []))

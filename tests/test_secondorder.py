@@ -361,6 +361,25 @@ def count_splu(monkeypatch):
     return calls
 
 
+def count_inverses(monkeypatch):
+    """Sizes of the dense inverses formed: node-space bases, classical matrices."""
+    calls = []
+    real = np.linalg.inv
+
+    def counted(A):
+        calls.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def budgets():
+    """The node-space base's byte budget, then none: the sparse LU route."""
+    import walktimes._solvers as solvers
+    return solvers._DENSE_BYTES, 0
+
+
 class TestReachSolveOnlyOnReducibleChains:
     def irreducible_chains(self, k33, petersen):
         g = oracles.random_undirected(12, 10, 7)
@@ -381,21 +400,31 @@ class TestReachSolveOnlyOnReducibleChains:
                 assert np.all(phi == 1.0)
 
     def test_one_factorization_per_chain(self, petersen, monkeypatch):
-        ch = nonbacktracking_edge_chain(petersen)
-        pdata = pullback_of(ch)
-        calls = count_splu(monkeypatch)
-        secondorder.hitting_matrix(pdata)
-        assert calls == [petersen.n]   # the base system, at full size
+        # the base system, at full size: one dense inverse within the
+        # byte budget, one sparse LU above it
+        import walktimes._solvers as solvers
+        for budget in budgets():
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            pdata = pullback_of(nonbacktracking_edge_chain(petersen))
+            calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+            secondorder.hitting_matrix(pdata)
+            assert (dense, calls) == (([petersen.n], []) if budget else ([], [petersen.n]))
 
     def test_one_factorization_at_scale(self, monkeypatch):
         # a 600-node, 1,800-edge core: one LU per target would be 1,200
+        import walktimes._solvers as solvers
         g = oracles.random_undirected(600, 1200, 2)
         assert g.m == 3600
-        calls = count_splu(monkeypatch)
-        T = secondorder.hitting_matrix(pullback_of(nonbacktracking_edge_chain(g)))
-        assert calls == [g.n] and np.all(np.isfinite(T))
-        classical = hitting_matrix(uniform_node_chain(g))
-        assert calls == [g.n] and classical.kappa_spread <= 1e-8
+        for budget in budgets():
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+            T = secondorder.hitting_matrix(pullback_of(nonbacktracking_edge_chain(g)))
+            base = ([g.n], []) if budget else ([], [g.n])
+            assert (dense, calls) == base and np.all(np.isfinite(T))
+            # the classical matrix takes one dense fundamental matrix
+            classical = hitting_matrix(uniform_node_chain(g))
+            assert (dense, calls) == (base[0] + [g.n], base[1])
+            assert classical.kappa_spread <= 1e-8
 
     def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
         for g in (c3, c4):
@@ -549,62 +578,134 @@ class TestNodeSpaceRoute:
 
     def test_large_sets_factor_their_own_system(self, monkeypatch):
         # one node changes a dozen rows of the 120-unknown base system;
-        # half the nodes change nearly all of them, past the Woodbury
-        # limit, and that set factors its own reduced system
+        # half the nodes change nearly all of them. Within the byte
+        # budget the base is a dense inverse, formed once and cached on
+        # the chain, and that set too is a Woodbury correction of it; on
+        # the sparse route it is past the Woodbury limit and factors its
+        # own reduced system
+        import walktimes._solvers as solvers
         g = oracles.random_undirected(120, 240, 1)
+        for budget in budgets():
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            ch = nonbacktracking_edge_chain(g)
+            formed = ((([g.n], []), ([], [])) if budget else
+                      (([], [g.n]), ([], [g.n // 2])))
+            for S, want_formed in zip(([7], np.arange(0, g.n, 2)), formed):
+                calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+                time = node_target_steps(ch, S)[0]
+                assert (dense, calls) == want_formed
+                in_S = np.isin(np.arange(g.n), S)
+                leaving = in_S[g.src]
+                entering = in_S[g.dst] & ~leaving
+                want, _, _ = expected_steps(ch.matrix, leaving, entering, assume_sure=False)
+                assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_few_sets_keep_the_sparse_base(self, monkeypatch):
+        # 300 unknowns: one target set, or a few, takes the sparse LU of
+        # the base; a call over every node forms the dense inverse, which
+        # then serves the later single sets too
+        g = oracles.random_undirected(300, 600, 3)
         ch = nonbacktracking_edge_chain(g)
-        for S, lus in (([7], [g.n]), (np.arange(0, g.n, 2), [g.n // 2])):
-            calls = count_splu(monkeypatch)
-            time = node_target_steps(ch, S)[0]
-            assert calls == lus   # the base, then cached on the chain
-            in_S = np.isin(np.arange(g.n), S)
-            leaving = in_S[g.src]
-            entering = in_S[g.dst] & ~leaving
-            want, _, _ = expected_steps(ch.matrix, leaving, entering, assume_sure=False)
-            assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        pdata = pullback_of(ch)
+        calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+        few = [x for x, _, _ in _node_sets_steps(ch, [(k,) for k in range(5)])]
+        assert (dense, calls) == ([], [g.n])
+        T = secondorder.hitting_matrix(pdata)
+        assert (dense, calls) == ([g.n], [g.n])
+        again = [node_target_steps(ch, (k,))[0] for k in range(5)]
+        assert (dense, calls) == ([g.n], [g.n])
+        for k in range(5):
+            leaving = g.src == k
+            want, _, _ = expected_steps(ch.matrix, leaving, (g.dst == k) & ~leaving,
+                                        assume_sure=False)
+            for time in (few[k], again[k]):
+                assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert np.allclose(T[:, k], pdata.first_step_matrix @ few[k], rtol=1e-12, atol=0)
 
     def test_sets_solved_in_blocks_keep_their_own_digits(self, petersen, monkeypatch):
-        # every node, sets of several sizes, a set past the Woodbury limit
-        # and a set whose edges all touch it; chains off the node route too
+        # every node, sets of several sizes, a half-node set (on the sparse
+        # route, past the Woodbury limit) and a set whose edges all touch
+        # it; chains off the node route too. On either base the digits are
+        # those of the set solved alone under the same block width: the
+        # dense base's products take the shape of a whole block
         import walktimes._solvers as solvers
-        big = oracles.random_undirected(120, 240, 1)
-        chains = [nonbacktracking_edge_chain(big), downweighted_edge_chain(petersen, 0.3),
-                  uniform_edge_chain(oracles.path_graph(3)), random_tensor_chain(petersen, 5),
-                  nonbacktracking_edge_chain(oracles.cycle_graph(4))]
         strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
-        for ch, tol in [(ch, TOL) for ch in chains] + [(chains[1], strict)]:
-            n = ch.graph.n
-            sets = [(k,) for k in range(n)] + [(0, n - 1), tuple(range(0, n, 2))]
-            one = [node_target_steps(ch, S, tol=tol)[0] for S in sets]
-            for block in (solvers._BLOCK, 3 * ch.n_states):   # one block, then three sets a block
-                monkeypatch.setattr(solvers, "_BLOCK", block)
-                got = [x for x, _, _ in _node_sets_steps(ch, sets, tol)]
-                assert len(got) == len(sets)
-                assert all(np.array_equal(a, b) for a, b in zip(got, one))
+        for budget in budgets():
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            big = oracles.random_undirected(120, 240, 1)
+            chains = [nonbacktracking_edge_chain(big), downweighted_edge_chain(petersen, 0.3),
+                      uniform_edge_chain(oracles.path_graph(3)), random_tensor_chain(petersen, 5),
+                      nonbacktracking_edge_chain(oracles.cycle_graph(4))]
+            for ch, tol in [(ch, TOL) for ch in chains] + [(chains[1], strict)]:
+                n = ch.graph.n
+                sets = [(k,) for k in range(n)] + [(0, n - 1), tuple(range(0, n, 2))]
+                for block in (solvers._BLOCK, 3):   # blocks as shipped, then three sets a block
+                    monkeypatch.setattr(solvers, "_BLOCK", block)
+                    one = [node_target_steps(ch, S, tol=tol)[0] for S in sets]
+                    got = [x for x, _, _ in _node_sets_steps(ch, sets, tol)]
+                    assert len(got) == len(sets)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, one))
 
     def test_failed_base_factorization_takes_edge_route(self, petersen, monkeypatch):
+        # a singular dense base within the byte budget, a failed sparse LU above it
         import walktimes._solvers as solvers
-        real = solvers.splu
         failed = []
 
-        def fail_first(A, *args, **kwargs):
-            if not failed:
-                failed.append(A.shape[0])
-                raise RuntimeError("Factor is exactly singular")
-            return real(A, *args, **kwargs)
+        def fail_first(real, error):
+            def factor(A, *args, **kwargs):
+                if not failed:
+                    failed.append(A.shape[0])
+                    raise error
+                return real(A, *args, **kwargs)
+            return factor
 
-        for ch in (nonbacktracking_edge_chain(petersen), uniform_edge_chain(petersen)):
-            failed.clear()
-            monkeypatch.setattr(solvers, "splu", fail_first)
-            got = [node_target_steps(ch, S) for S in ([0], [3, 4])]
-            assert failed == [petersen.n] and ch._node_system is False
-            monkeypatch.setattr(solvers, "splu", real)
-            for S, (time, finite, phi) in zip(([0], [3, 4]), got):
-                in_S = np.isin(np.arange(petersen.n), S)
-                leaving = in_S[petersen.src]
-                want = chain_steps(ch, leaving, in_S[petersen.dst] & ~leaving)
-                for a, b in zip((time, finite, phi), want):
-                    assert np.array_equal(a, b)
+        for budget, owner, name, error in (
+                (solvers._DENSE_BYTES, np.linalg, "inv", np.linalg.LinAlgError("Singular matrix")),
+                (0, solvers, "splu", RuntimeError("Factor is exactly singular"))):
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            real = getattr(owner, name)
+            for ch in (nonbacktracking_edge_chain(petersen), uniform_edge_chain(petersen)):
+                failed.clear()
+                monkeypatch.setattr(owner, name, fail_first(real, error))
+                got = [node_target_steps(ch, S) for S in ([0], [3, 4])]
+                assert failed == [petersen.n] and ch._node_system is False
+                monkeypatch.setattr(owner, name, real)
+                for S, (time, finite, phi) in zip(([0], [3, 4]), got):
+                    in_S = np.isin(np.arange(petersen.n), S)
+                    leaving = in_S[petersen.src]
+                    want = chain_steps(ch, leaving, in_S[petersen.dst] & ~leaving)
+                    for a, b in zip((time, finite, phi), want):
+                        assert np.array_equal(a, b)
+
+    def test_hitting_matrix_at_2000_nodes(self, monkeypatch):
+        # 12,000 edge states: every target is served from the dense base
+        # and passes the edge system's residual test. The reference is an
+        # edge-space Krylov solve per target: one sparse LU of this edge
+        # system takes about 35 s and 480 MB
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import bicgstab
+        g = oracles.random_undirected(2000, 4000, 1)
+        ch = nonbacktracking_edge_chain(g)
+        pdata = pullback_of(ch)
+        self.no_edge_route(monkeypatch)
+        T = secondorder.hitting_matrix(pdata)
+        assert isinstance(_node_system(ch).base, np.ndarray)
+        assert np.array_equal(np.diag(T), np.zeros(g.n))
+        assert np.all(np.isfinite(T)) and np.all(T >= 0)
+        P = ch.matrix
+        for k in (0, 777, 1999):
+            leaving = g.src == k
+            entering = (g.dst == k) & ~leaving
+            interior = ~(leaving | entering)
+            rows = P[interior]
+            A = sp.identity(int(interior.sum()), format="csr") - rows[:, interior]
+            rhs = 1.0 + np.asarray(rows[:, entering].sum(axis=1)).ravel()
+            inner, info = bicgstab(A, rhs, rtol=1e-15, maxiter=10_000)
+            assert info == 0
+            x = entering.astype(np.float64)
+            x[interior] = inner
+            want = pdata.first_step_matrix @ x
+            assert np.all(np.abs(T[:, k] - want) <= 1e-10 * np.abs(want))
 
     def test_other_chains_take_edge_route(self, c4, petersen, monkeypatch):
         import walktimes._solvers as solvers
@@ -699,16 +800,21 @@ class TestEdgeChainReturnCrossCheck:
         assert verdicts == {True, False}
 
     def test_node_queries_factor_no_edge_system(self, k33, petersen, monkeypatch):
-        calls = count_splu(monkeypatch)
-        for g in (k33, petersen):
-            for ch in (uniform_edge_chain(g), nonbacktracking_edge_chain(g),
-                       downweighted_edge_chain(g, 0.3)):
-                calls.clear()
-                secondorder.return_times(pullback_of(ch), [0, 2, 3])
-                secondorder.random_target(pullback_of(ch))
-                # one full-size base LU serves the three nodes, the set
-                # and every target; none is over edges
-                assert calls == [g.n]
+        import walktimes._solvers as solvers
+        calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+        for budget in budgets():
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            for g in (k33, petersen):
+                for ch in (uniform_edge_chain(g), nonbacktracking_edge_chain(g),
+                           downweighted_edge_chain(g, 0.3)):
+                    calls.clear()
+                    dense.clear()
+                    secondorder.return_times(pullback_of(ch), [0, 2, 3])
+                    secondorder.random_target(pullback_of(ch))
+                    # one full-size base, a dense inverse or above the byte
+                    # budget a sparse LU, serves the three nodes, the set
+                    # and every target; none is over edges
+                    assert (dense, calls) == (([g.n], []) if budget else ([], [g.n]))
 
 
 class TestIterativeFallback:
