@@ -131,6 +131,7 @@ class Chain:
         self._components: list[np.ndarray] | None = None
         # node-space hitting system, or False when P lacks the pair form
         self._node_system = None
+        self._sampler = None   # Monte Carlo row sampler
 
     @property
     def n_states(self) -> int:

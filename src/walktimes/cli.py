@@ -186,13 +186,15 @@ def cmd_hitting(args) -> int:
     from .chains import uniform_node_chain
 
     g, pdata = _walk(args)
-    walk_T = so.hitting_matrix(pdata)
+    nodes = range(g.n) if args.target is None else [g.label_id(args.target)]
+    if args.target is None or args.full:
+        walk_T = so.hitting_matrix(pdata)
+        mw = walk_T.mean(axis=0)
+    else:
+        # one column, summed in row order as T.mean(axis=0) sums it
+        mw = {j: np.cumsum(so.node_hitting_times(pdata, j))[-1] / g.n for j in nodes}
     classical_T = fo.hitting_matrix(uniform_node_chain(g)).matrix
-    mw = walk_T.mean(axis=0)
     mc = classical_T.mean(axis=0)
-    nodes = range(g.n)
-    if args.target is not None:
-        nodes = [g.label_id(args.target)]
     rows = []
     for j in nodes:
         rows.append([

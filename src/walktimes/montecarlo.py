@@ -6,8 +6,13 @@ substream (Philox jumped b times), so results are identical for a
 given seed and trial count no matter how blocks are scheduled.
 
 Each walk runs until it hits its target or a step cap; capped walks
-are reported as censored and excluded from the mean. Estimates carry
-the sample standard error of the mean.
+are reported as censored and excluded from the mean. Walk times are
+integers, so three exact integers carry an estimate: the number of
+walks, the sum of their times and the sum of their squared times.
+The mean and the sample standard error of the mean are the exact
+sample statistics of those walks, rounded once. The sweep sums its
+blocks in int64, which is exact for walks shorter than 2**25 steps,
+so it rejects larger step caps.
 
 Every step is an inverse-CDF draw: the first entry of the row whose
 cumulative sum is at least u. On chains with long rows a guide table
@@ -19,6 +24,7 @@ skip the guide, whose lookup costs more than the few passes it saves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,8 @@ __all__ = [
 
 BLOCK = 8192
 GUIDE_MIN_ROW = 6  # longest row from which the guide table pays
+# BLOCK walks of at most SWEEP_CAP steps have int64-exact squared sums
+SWEEP_CAP = 2**25 - 1
 
 
 @dataclass(frozen=True)
@@ -56,41 +64,18 @@ class WalkStats:
         return self.censored > 0
 
 
-class _Accumulator:
-    """Streaming mean and variance, merged across blocks."""
+def _walk_stats(seen: int, total: int, squares: int, censored: int) -> WalkStats:
+    """Statistics of ``seen`` walk times from their exact integer sums.
 
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.censored = 0
-
-    def add(self, values: np.ndarray, censored: int):
-        self.censored += int(censored)
-        values = values[np.isfinite(values)]
-        if values.size == 0:
-            return
-        bcount = values.size
-        bmean = float(values.mean())
-        bm2 = float(((values - bmean) ** 2).sum())
-        delta = bmean - self.mean
-        total = self.count + bcount
-        self.mean += delta * bcount / total
-        self.m2 += bm2 + delta * delta * self.count * bcount / total
-        self.count = total
-
-    def stats(self) -> WalkStats:
-        if self.count == 0:
-            return WalkStats(float("nan"), float("nan"), 0, self.censored)
-        if self.count == 1:
-            return WalkStats(self.mean, 0.0, 1, self.censored)
-        var = self.m2 / (self.count - 1)
-        return WalkStats(
-            mean=self.mean,
-            stderr=float(np.sqrt(max(var, 0.0) / self.count)),
-            trials=self.count,
-            censored=self.censored,
-        )
+    The mean and the variance of the mean are each one correctly
+    rounded division of Python ints; the standard error is the square
+    root of the latter.
+    """
+    if seen == 0:
+        return WalkStats(math.nan, math.nan, 0, censored)
+    # n S2 - S1^2 is n (n - 1) times the sample variance, and 0 for one walk
+    var_of_mean = (seen * squares - total * total) / (seen * seen * max(seen - 1, 1))
+    return WalkStats(total / seen, math.sqrt(var_of_mean), seen, censored)
 
 
 class _RowSampler:
@@ -162,6 +147,13 @@ class _RowSampler:
         return self.indices[pos]
 
 
+def _sampler(chain) -> _RowSampler:
+    """The chain's row sampler, built on its first walk and kept on the chain."""
+    if chain._sampler is None:
+        chain._sampler = _RowSampler(chain.matrix)
+    return chain._sampler
+
+
 def _block_sizes(trials: int) -> list[int]:
     if trials <= 0:
         raise QueryError("trial count must be positive")
@@ -193,25 +185,24 @@ def _first_passage(chain, start, t0, stop, trials, seed, cap) -> WalkStats:
     ``start(rng, nb)`` places a block's walks at time ``t0``; after
     that each step draws one uniform per walk still running.
     """
-    sampler = _RowSampler(chain.matrix)
-    acc = _Accumulator()
+    sampler = _sampler(chain)
+    seen = total = squares = censored = 0
     for b, nb in enumerate(_block_sizes(int(trials))):
         rng = _block_rng(seed, b)
-        times = np.full(nb, np.inf)
         cur = start(rng, nb)
-        idx = np.arange(nb)
         t = t0
         while True:
             hit = stop[cur]
-            times[idx[hit]] = t
-            miss = ~hit
-            cur, idx = cur[miss], idx[miss]
+            k = int(np.count_nonzero(hit))
+            if k:
+                seen, total, squares = seen + k, total + k * t, squares + k * t * t
+                cur = cur[~hit]
             if cur.size == 0 or t >= cap:
                 break
             cur = sampler.sample(cur, rng.random(cur.size))
             t += 1
-        acc.add(times, censored=cur.size)
-    return acc.stats()
+        censored += cur.size
+    return _walk_stats(seen, total, squares, censored)
 
 
 def simulate_so_hitting(pdata, source, target, trials,
@@ -222,21 +213,24 @@ def simulate_so_hitting(pdata, source, target, trials,
     ``pdata``; afterwards its edge chain drives the walk. Counts
     node-process steps; ``source == target`` is trivially zero.
     """
-    chain = pdata.chain
-    source, target = _check_node(chain, source), _check_node(chain, target)
-    if source == target:
+    if _check_node(pdata.chain, source) == _check_node(pdata.chain, target):
         return WalkStats(0.0, 0.0, int(trials), 0)
-    return _first_passage(chain, _first_edges(pdata, source), 1,
-                          chain.graph.dst == target, trials, seed, cap)
+    return _node_walks(pdata, source, target, trials, seed, cap)
 
 
 def simulate_so_return(pdata, node, trials,
                        seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from a node back to itself."""
+    return _node_walks(pdata, node, node, trials, seed, cap)
+
+
+def _node_walks(pdata, source, target, trials, seed, cap) -> WalkStats:
+    """The walks of ``simulate_so_hitting``, counted until they enter
+    ``target``: from ``source == target``, until they return."""
     chain = pdata.chain
-    node = _check_node(chain, node)
-    return _first_passage(chain, _first_edges(pdata, node), 1,
-                          chain.graph.dst == node, trials, seed, cap)
+    source, target = _check_node(chain, source), _check_node(chain, target)
+    return _first_passage(chain, _first_edges(pdata, source), 1,
+                          chain.graph.dst == target, trials, seed, cap)
 
 
 def simulate_so_sweep(pdata, source, trials, seed,
@@ -247,22 +241,25 @@ def simulate_so_sweep(pdata, source, trials, seed,
     return to the source, running until all are observed or the cap
     bites. Returns (per-target WalkStats array indexed by node, return
     WalkStats). Cheaper than one run per target when all targets are
-    wanted.
+    wanted. The cap is at most ``SWEEP_CAP``.
     """
     chain = pdata.chain
     source = _check_node(chain, source)
+    if cap > SWEEP_CAP:
+        raise QueryError(f"sweep step cap {cap} exceeds {SWEEP_CAP}")
     n = chain.graph.n
     start = _first_edges(pdata, source)
-    sampler = _RowSampler(chain.matrix)
+    sampler = _sampler(chain)
     # column of the node each edge enters; entering the source fills
     # the extra column n, which holds the first return
     dst = chain.graph.dst
     column = np.where(dst == source, n, dst)
-    accs = [_Accumulator() for _ in range(n + 1)]
+    sums = np.zeros((4, n + 1), dtype=object)   # Python ints
     for b, nb in enumerate(_block_sizes(int(trials))):
         rng = _block_rng(seed, b)
-        times = np.full((nb, n + 1), np.inf)
-        times[:, source] = 0.0
+        # first visit times, 0 until seen: no walk writes the source's
+        # column, whose visits are all at time 0
+        times = np.zeros((nb, n + 1), dtype=np.int64)
         cells = times.reshape(-1)
         row_start = np.arange(nb, dtype=np.int64) * (n + 1)
         remaining = np.full(nb, n, dtype=np.int64)  # n-1 other nodes + return
@@ -270,7 +267,7 @@ def simulate_so_sweep(pdata, source, trials, seed,
         t = 1
         while True:
             cell = row_start + column[cur]
-            new = np.isinf(cells[cell])
+            new = cells[cell] == 0
             cells[cell[new]] = t
             remaining -= new
             alive = remaining > 0
@@ -279,10 +276,11 @@ def simulate_so_sweep(pdata, source, trials, seed,
                 break
             cur = sampler.sample(cur, rng.random(cur.size))
             t += 1
-        for k in range(n + 1):
-            col = times[:, k]
-            accs[k].add(col, censored=int(np.isinf(col).sum()))
-    stats = [a.stats() for a in accs]
+        seen = np.count_nonzero(times, axis=0)
+        seen[source] = nb
+        sums += np.array([seen, times.sum(axis=0), np.einsum("ij,ij->j", times, times),
+                          nb - seen]).astype(object)
+    stats = [_walk_stats(*col) for col in sums.T]
     return stats[:n], stats[n]
 
 

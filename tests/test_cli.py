@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ K4_EDGES = "\n".join(
     [("0", "1"), ("0", "2"), ("0", "3"), ("1", "2"), ("1", "3"), ("2", "3")]
 ) + "\n"
 PATH_EDGES = "a b\nb c\n"
+TRANSCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_transcript.py"
 
 
 @pytest.fixture
@@ -123,6 +125,40 @@ class TestHitting:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("c,")
+
+    def test_target_row_is_the_full_row(self, capsys, tmp_path, monkeypatch):
+        """On every transcript graph and walk kind, ``--target`` prints the
+        target's row of the full table from one second-order column, without
+        the second-order matrix."""
+        from walktimes import secondorder as so
+        spec = importlib.util.spec_from_file_location("cli_transcript", TRANSCRIPT)
+        transcript = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(transcript)
+        matrix = so.hitting_matrix
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("hitting --target built the second-order matrix")
+
+        compared = 0
+        for name, (_, undirected) in transcript.GRAPHS.items():
+            graph, tensor, labels = transcript.write_graph(tmp_path, name)
+            base = ["--input", graph] + (["--undirected"] if undirected else [])
+            for walk in transcript.WALKS:
+                argv = ["hitting", *base, "--walk",
+                        f"tensor:{tensor}" if walk == "tensor" else walk]
+                monkeypatch.setattr(so, "hitting_matrix", matrix)
+                code, out, err = run(capsys, *argv)
+                lines = out.splitlines(keepends=True)
+                monkeypatch.setattr(so, "hitting_matrix", no_matrix)
+                for label in labels:
+                    got = run(capsys, *argv, "--target", label)
+                    if code:
+                        assert got == (code, out, err)
+                        continue
+                    row = next(r for r in lines[1:] if r.split(",")[0] == label)
+                    assert got == (0, lines[0] + row, err)
+                    compared += 1
+        assert compared > 100
 
     def test_byte_stable(self, capsys, k4_file):
         _, first, _ = run(capsys, "hitting", "--input", k4_file,

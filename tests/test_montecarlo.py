@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import oracles
 from walktimes import (
     QueryError,
+    WalkStats,
     WalkTimesError,
     downweighted_edge_chain,
     edge_chain_from_tensor,
@@ -254,22 +257,74 @@ def loop_sample(P, rows, u):
     return out
 
 
-def loop_sweep(chain, pdata, source, trials, seed, cap):
-    """Reference sweep: one walk at a time on the same random streams."""
-    from walktimes import montecarlo as mc
-    n = chain.graph.n
-    out = chain.graph.out_edges(source)
+def exact_stats(times, censored):
+    """WalkStats of integer walk times from exact rational arithmetic: the
+    correctly rounded mean, and the correctly rounded square root of the
+    correctly rounded variance of the mean."""
+    n = len(times)
+    if n == 0:
+        return WalkStats(math.nan, math.nan, 0, censored)
+    mean = Fraction(sum(times), n)
+    var = sum((t - mean) ** 2 for t in times) / (n * (n - 1)) if n > 1 else 0
+    return WalkStats(float(mean), math.sqrt(float(var)), n, censored)
+
+
+def same(a, b):
+    """Equal WalkStats, a nan mean equal to a nan mean: repr round-trips floats."""
+    return repr(a) == repr(b)
+
+
+def first_edge_draws(pdata, source):
+    """Reference draw of each walk's first edge out of ``source``."""
+    out = pdata.chain.graph.out_edges(source)
     probs = pdata.first_transition[out]
     first_cdf = np.cumsum(probs / probs.sum())
+
+    def draw(rng, nb):
+        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
+        return out[np.minimum(pick, out.size - 1)]
+    return draw
+
+
+def loop_first_passage(chain, start, t0, stop, trials, seed, cap):
+    """Reference first passage: one walk at a time on the same random
+    streams, with the exact statistics of the walk times it records."""
+    from walktimes import montecarlo as mc
+    times, censored = [], 0
+    for b, nb in enumerate(mc._block_sizes(trials)):
+        rng = mc._block_rng(seed, b)
+        cur = start(rng, nb)
+        t = t0
+        while True:
+            live = []
+            for e in cur:
+                if stop[e]:
+                    times.append(t)
+                else:
+                    live.append(e)
+            cur = np.array(live, dtype=np.int64)
+            if not live or t >= cap:
+                break
+            cur = loop_sample(chain.matrix, cur, rng.random(cur.size))
+            t += 1
+        censored += len(live)
+    return exact_stats(times, censored)
+
+
+def loop_sweep(chain, pdata, source, trials, seed, cap):
+    """Reference sweep: one walk at a time on the same random streams, with
+    the exact statistics of the first visit and return times it records."""
+    from walktimes import montecarlo as mc
+    n = chain.graph.n
+    start = first_edge_draws(pdata, source)
     dst = chain.graph.dst
-    accs = [mc._Accumulator() for _ in range(n + 1)]
+    seen = [[] for _ in range(n + 1)]   # column n: first returns
     for b, nb in enumerate(mc._block_sizes(trials)):
         rng = mc._block_rng(seed, b)
         visits = np.full((nb, n), np.inf)
         visits[:, source] = 0.0
         ret = np.full(nb, np.inf)
-        pick = np.searchsorted(first_cdf, rng.random(nb), side="right")
-        cur = out[np.minimum(pick, out.size - 1)]
+        cur = start(rng, nb)
         alive = list(range(nb))
         t = 1
         while True:
@@ -288,10 +343,11 @@ def loop_sweep(chain, pdata, source, trials, seed, cap):
                 break
             cur = loop_sample(chain.matrix, cur, rng.random(cur.size))
             t += 1
-        for k in range(n):
-            accs[k].add(visits[:, k], censored=int(np.isinf(visits[:, k]).sum()))
-        accs[n].add(ret, censored=int(np.isinf(ret).sum()))
-    stats = [a.stats() for a in accs]
+        for k, col in enumerate(np.column_stack([visits, ret]).T):
+            seen[k].append(col)
+    cols = [np.concatenate(c) for c in seen]
+    stats = [exact_stats([int(t) for t in c[np.isfinite(c)]], int(np.isinf(c).sum()))
+             for c in cols]
     return stats[:n], stats[n]
 
 
@@ -382,12 +438,127 @@ class TestLoopReference:
                               for i, n, x in zip(a, rowlen, want)]
                     assert (start >= a).all() and (start <= answer).all()
 
-    def test_sweep_matches_one_walk_at_a_time(self, c4, k33):
+    @staticmethod
+    def walk_chains(c4, k33):
+        """(chain, source, other node, step cap) on the reference chains."""
         g = oracles.random_undirected(7, 3, 11)
-        for ch, source, cap in ((nonbacktracking_edge_chain(c4), 0, 100),
-                                (downweighted_edge_chain(g, 0.3), 2, 100),
-                                (uniform_edge_chain(k33), 1, 4),
-                                (uniform_edge_chain(oracles.complete_graph(10)), 3, 100)):
+        return ((nonbacktracking_edge_chain(c4), 0, 2, 100),
+                (downweighted_edge_chain(g, 0.3), 2, 5, 100),
+                (uniform_edge_chain(k33), 1, 0, 4),
+                (uniform_edge_chain(oracles.complete_graph(10)), 3, 7, 100))
+
+    def test_sweep_matches_one_walk_at_a_time(self, c4, k33, monkeypatch):
+        """Same draws, and every mean and stderr is the correctly rounded
+        exact statistic of the walk times, also summed over many blocks."""
+        from walktimes import montecarlo as mc
+        for block, (ch, source, _, cap) in itertools.product(
+                (mc.BLOCK, 64), self.walk_chains(c4, k33)):
+            monkeypatch.setattr(mc, "BLOCK", block)
             pdata = equilibrium_pullback(ch)
-            got = simulate_so_sweep(pdata, source, 300, seed=4, cap=cap)
-            assert got == loop_sweep(ch, pdata, source, 300, 4, cap)
+            per, ret = simulate_so_sweep(pdata, source, 300, seed=4, cap=cap)
+            want_per, want_ret = loop_sweep(ch, pdata, source, 300, 4, cap)
+            assert same(ret, want_ret)
+            assert all(same(a, b) for a, b in zip(per, want_per, strict=True))
+
+    @pytest.mark.parametrize("block", [8192, 64])
+    def test_first_passage_matches_one_walk_at_a_time(self, c4, k33, petersen, block,
+                                                      monkeypatch):
+        """Hitting, return and first-order walks: the same draws, and exact
+        statistics of the walk times, in one block and in many."""
+        from walktimes import montecarlo as mc
+        monkeypatch.setattr(mc, "BLOCK", block)
+        for ch, source, target, cap in self.walk_chains(c4, k33):
+            pdata = equilibrium_pullback(ch)
+            dst = ch.graph.dst
+            for stop, got in ((target, simulate_so_hitting(pdata, source, target, 300,
+                                                           seed=6, cap=cap)),
+                              (source, simulate_so_return(pdata, source, 300,
+                                                          seed=6, cap=cap))):
+                want = loop_first_passage(ch, first_edge_draws(pdata, source), 1,
+                                          dst == stop, 300, 6, cap)
+                assert same(got, want)
+        for g, cap in ((c4, 100), (petersen, 100), (petersen, 3),
+                       (oracles.random_digraph(8, 10, 21), 100)):
+            ch = uniform_node_chain(g)
+            stop = np.zeros(g.n, dtype=bool)
+            stop[[g.n - 1, g.n // 2]] = True
+            got = simulate_fo_hitting(ch, 0, [g.n - 1, g.n // 2], 300, seed=8, cap=cap)
+            want = loop_first_passage(ch, lambda rng, nb: np.zeros(nb, dtype=np.int64), 0,
+                                      stop, 300, 8, cap)
+            assert same(got, want)
+
+
+class TestTally:
+    """Walk statistics come from exact integer sums of the walk times."""
+
+    def test_times_near_cap_with_small_spread(self):
+        from walktimes.montecarlo import _walk_stats
+        rng = np.random.default_rng(3)
+        for base, n in ((10**6 - 2, 3 * 8192 + 5), (10**6, 2), (2**25 - 3, 40_000)):
+            times = [base + int(x) for x in rng.integers(0, 3, size=n)]
+            want = exact_stats(times, 7)
+            got = _walk_stats(len(times), sum(times), sum(t * t for t in times), 7)
+            assert same(got, want)
+            assert got.stderr > 0
+
+    def test_equal_times_have_zero_stderr(self):
+        from walktimes.montecarlo import _walk_stats
+        t = 10**6
+        assert same(_walk_stats(5000, 5000 * t, 5000 * t * t, 0),
+                    WalkStats(float(t), 0.0, 5000, 0))
+
+    def test_zero_and_one_uncensored_walk(self, c4, k4):
+        pdata = equilibrium_pullback(nonbacktracking_edge_chain(k4))
+        one = simulate_so_hitting(pdata, 0, 2, trials=1, seed=3)
+        assert one.trials == 1 and one.censored == 0 and one.stderr == 0.0
+        assert same(one, loop_first_passage(pdata.chain, first_edge_draws(pdata, 0), 1,
+                                            pdata.chain.graph.dst == 2, 1, 3, 10**6))
+        per, ret = simulate_so_sweep(pdata, 1, trials=1, seed=3)
+        assert all(s.trials == 1 and s.stderr == 0.0 for s in per + [ret])
+        none = simulate_fo_hitting(uniform_node_chain(c4), 0, {2}, trials=300, seed=9, cap=1)
+        assert none.trials == 0 and none.censored == 300
+        assert math.isnan(none.mean) and math.isnan(none.stderr)
+        per, ret = simulate_so_sweep(pdata, 1, trials=300, seed=9, cap=1)
+        assert ret.trials == 0 and ret.censored == 300 and math.isnan(ret.mean)
+        assert per[1].mean == 0.0 and per[1].trials == 300   # the source itself
+
+    def test_sweep_cap_boundary(self, k4):
+        """A block of walks at the largest sweep cap sums its squared times
+        exactly in int64; one step more would not, so the sweep refuses it."""
+        from walktimes.montecarlo import BLOCK, SWEEP_CAP
+        assert SWEEP_CAP == 2**25 - 1
+        at_cap = np.full((BLOCK, 1), SWEEP_CAP, dtype=np.int64)
+        assert int(np.einsum("ij,ij->j", at_cap, at_cap)[0]) == BLOCK * SWEEP_CAP**2
+        assert BLOCK * (SWEEP_CAP + 1) ** 2 > np.iinfo(np.int64).max
+        pdata = equilibrium_pullback(uniform_edge_chain(k4))
+        per, ret = simulate_so_sweep(pdata, 0, 500, seed=2, cap=SWEEP_CAP)
+        assert ret.censored == 0 and ret == simulate_so_sweep(pdata, 0, 500, seed=2)[1]
+        with pytest.raises(QueryError, match="sweep step cap 33554432 exceeds 33554431"):
+            simulate_so_sweep(pdata, 0, 500, seed=2, cap=2**25)
+
+
+class TestSharedSampler:
+    def test_one_sampler_per_chain(self, k33, tmp_path, monkeypatch):
+        """Every walk on a chain, validate's two pairs included, reuses the
+        sampler its first walk built."""
+        from walktimes import montecarlo as mc
+        from walktimes.cli import main
+        built = []
+        init = mc._RowSampler.__init__
+
+        def counting(self, P):
+            built.append(P.shape)
+            init(self, P)
+        monkeypatch.setattr(mc._RowSampler, "__init__", counting)
+        pdata = equilibrium_pullback(uniform_edge_chain(k33))
+        simulate_so_sweep(pdata, 0, 100, seed=1)
+        simulate_so_sweep(pdata, 1, 100, seed=1)
+        simulate_so_hitting(pdata, 0, 3, 100, seed=1)
+        simulate_so_return(pdata, 2, 100, seed=1)
+        assert len(built) == 1
+        edges = tmp_path / "k33.edges"
+        edges.write_text("".join(f"{i} {j}\n" for i, j in k33.edges if i < j))
+        built.clear()
+        assert main(["validate", "--input", str(edges), "--undirected", "--walk", "nb",
+                     "--trials", "200"]) == 0
+        assert built == [(18, 18)]
