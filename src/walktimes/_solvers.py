@@ -7,19 +7,26 @@ fixed-point equations in the transition matrix:
     expected steps      x = 1 + P x      off the boundary, with fixed
                                          boundary values 0 and 1
 
-The primary route solves the interior linear system directly with a
-sparse LU factorization and validates the result (finiteness, sign,
-residual). When the direct solve fails validation, a monotone
-fixed-point iteration from zero takes over; it converges to the
-minimal solution from below, and divergence beyond a threshold flags
-states whose expectation is infinite.
+Which states have infinite expectations is a property of the support
+graph of the transition matrix, not of the numbers on it (Norris,
+*Markov Chains*, 1997, section 1.3). ``_reach_masks`` reads two masks
+off it by breadth-first search: ``can``, the states with a path into
+the target, and ``sure``, those with no path, outside the target, to
+a state outside ``can``. A walk from a ``sure`` state enters the target
+with probability 1 and in finite expected time; from any other state
+it can miss the target, and its expected time is infinite. The reach
+probability is 1 on ``sure`` and 0 off ``can``; only the states in
+between, which reach the target by chance, take a linear solve. That
+system, and the expected-steps system on the ``sure`` states off the
+target, are nonsingular: every one of their states has a path out of
+them.
 
-States that reach the target with probability < 1 have infinite
-expected steps; they are excluded from the linear system up front via
-the reach probabilities, which keeps the interior matrix nonsingular.
-On an irreducible chain every state reaches every target surely, so
-``chain_steps`` runs the reach solve only on reducible chains: one
-sparse LU per target on an irreducible chain, two on a reducible one.
+Both systems are solved directly with a sparse LU factorization, and
+the result is validated (finiteness, sign, residual). A solve that
+fails validation raises ``ConvergenceError``. On an irreducible chain
+every state reaches every target surely, so ``chain_steps`` skips the
+masks and takes one sparse LU per target; a reducible chain pays a
+reach LU only when some state reaches the target by chance.
 
 ``node_target_steps`` answers the second-order question "how long
 until the walk visits the node set S" in node space when it can. The
@@ -78,7 +85,7 @@ import scipy.sparse as sp
 from .chains import check_irreducible
 from .config import TOL, Tolerances
 from .errors import ConvergenceError
-from .graph import _continuations
+from .graph import _continuations, _reached
 
 __all__ = ["reach_probabilities", "expected_steps", "chain_steps", "node_target_steps"]
 
@@ -141,46 +148,37 @@ def _direct_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances):
     return x
 
 
-def _iterate_affine(B: sp.csr_matrix, rhs: np.ndarray, cap: float | None,
-                    tol: Tolerances):
-    """Monotone iteration x <- rhs + B x from zero.
+def _validated_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances,
+                     what: str, upper: float = np.inf) -> np.ndarray:
+    """``_direct_solve``, its solution within [-1e-9, ``upper``]; a
+    rejected solve raises ``ConvergenceError``."""
+    x = _direct_solve(B, rhs, tol)
+    if x is None or (x < -1e-9).any() or (x > upper).any():
+        raise ConvergenceError(f"direct solve of the {what} failed its validation")
+    return x
 
-    Returns (x, diverged_mask). With ``cap`` set, components that grow
-    beyond it are flagged as diverged (infinite expectation) and the
-    iteration restarts without them.
-    """
-    n = B.shape[0]
-    alive = np.ones(n, dtype=bool)
-    while True:
-        idx = np.flatnonzero(alive)
-        Bs = B[idx][:, idx]
-        r = rhs[idx]
-        x = np.zeros(len(idx))
-        converged = False
-        for _ in range(tol.max_sweeps):
-            y = r + Bs @ x
-            if not np.all(y >= x - 1e-9 * np.maximum(1.0, np.abs(x))):
-                raise ConvergenceError(
-                    "fixed-point iteration lost monotonicity"
-                )
-            if cap is not None and (y > cap).any():
-                bad = idx[np.flatnonzero(y > cap)]
-                alive[bad] = False
-                break
-            if np.abs(y - x).max() <= tol.iteration_tol * max(1.0, np.abs(y).max()):
-                x = y
-                converged = True
-                break
-            x = y
-        else:
-            raise ConvergenceError(
-                "fixed-point iteration exhausted its sweep budget"
-            )
-        if converged:
-            full = np.zeros(n)
-            full[idx] = x
-            return full, ~alive
-        # restart with the diverged components removed
+
+def _reach_masks(P: sp.spmatrix, target: np.ndarray):
+    """(can, sure) of the target mask on the support of P, whose stored
+    entries are its nonzeros as in a ``Chain``'s matrix: the states
+    with a path into the target, and those with no path, outside the
+    target, to a state outside ``can``."""
+    back = P.tocsc()   # column j lists the states that step to j
+    can = _reached(back.indptr, back.indices, target)
+    return can, ~_reached(back.indptr, back.indices, ~can, stop=target)
+
+
+def _reach(P: sp.csr_matrix, target: np.ndarray, tol: Tolerances):
+    """(reach probabilities, ``sure`` mask) of the target mask."""
+    can, sure = _reach_masks(P, target)
+    phi = sure.astype(np.float64)
+    chance = np.flatnonzero(can & ~sure)
+    if chance.size:
+        rows = P[chance]
+        c = np.asarray(rows[:, sure].sum(axis=1)).ravel()
+        x = _validated_solve(rows[:, chance], c, tol, "reach probabilities", 1 + 1e-9)
+        phi[chance] = np.clip(x, 0.0, 1.0)
+    return phi, sure
 
 
 def reach_probabilities(P: sp.csr_matrix, target: np.ndarray,
@@ -188,23 +186,10 @@ def reach_probabilities(P: sp.csr_matrix, target: np.ndarray,
     """Probability of ever entering the target set, per state.
 
     Minimal nonnegative solution: 1 on the target, the average of the
-    successors' values elsewhere. States that cannot reach the target
-    get exact zeros.
+    successors' values elsewhere. States that reach the target surely
+    get exact ones, states that cannot reach it exact zeros.
     """
-    n = P.shape[0]
-    target = np.asarray(target, dtype=bool)
-    phi = np.ones(n)
-    interior = np.flatnonzero(~target)
-    if interior.size == 0:
-        return phi
-    rows = P[interior]
-    B = rows[:, interior]
-    c = np.asarray(rows[:, target].sum(axis=1)).ravel()
-    x = _direct_solve(B, c, tol)
-    if x is None or (x < -1e-9).any() or (x > 1 + 1e-9).any():
-        x, _ = _iterate_affine(B, c, cap=None, tol=tol)
-    phi[interior] = np.clip(x, 0.0, 1.0)
-    return phi
+    return _reach(P, np.asarray(target, dtype=bool), tol)[0]
 
 
 def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
@@ -215,9 +200,9 @@ def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
     States in ``zero_boundary`` are pinned to 0, states in
     ``one_boundary`` (disjoint, optional) to 1; every other state i
     satisfies x_i = 1 + sum_j P_ij x_j. Returns (x, finite, phi) where
-    x holds inf for states whose expectation diverges.
+    x holds inf for the states that can miss the boundary.
 
-    ``assume_sure`` skips the reach solve and takes every reach
+    ``assume_sure`` skips the reach masks and takes every reach
     probability to be 1, which holds on an irreducible chain.
     """
     n = P.shape[0]
@@ -229,27 +214,19 @@ def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
     boundary = zero_boundary | one_boundary
 
     if assume_sure:
-        phi = np.ones(n)
+        phi, finite = np.ones(n), np.ones(n, dtype=bool)
     else:
-        phi = reach_probabilities(P, boundary, tol=tol)
+        phi, finite = _reach(P, boundary, tol)
 
     x = np.full(n, np.inf)
     x[zero_boundary] = 0.0
     x[one_boundary] = 1.0
-    finite = phi >= 1.0 - tol.finite_probability
     work = np.flatnonzero(finite & ~boundary)
     if work.size:
         rows = P[work]
-        B = rows[:, work]
         rhs = 1.0 + np.asarray(rows[:, one_boundary].sum(axis=1)).ravel()
-        sol = _direct_solve(B, rhs, tol)
-        if sol is None or (sol < -1e-9).any():
-            sol, diverged = _iterate_affine(
-                B, rhs, cap=tol.divergence_threshold, tol=tol
-            )
-            sol = np.where(diverged, np.inf, sol)
-        x[work] = np.maximum(sol, 0.0)
-    return x, np.isfinite(x), phi
+        x[work] = np.maximum(_validated_solve(rows[:, work], rhs, tol, "expected steps"), 0.0)
+    return x, finite, phi
 
 
 def chain_steps(chain, zero_boundary: np.ndarray,

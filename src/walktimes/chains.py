@@ -25,7 +25,7 @@ from .errors import (
     GraphStructureError,
     ReducibleChainError,
 )
-from .graph import Graph, _continuations, _reaches_all, dangling_edges, line_graph
+from .graph import Graph, _continuations, _reached, dangling_edges, line_graph
 
 __all__ = [
     "Chain",
@@ -285,7 +285,9 @@ def check_irreducible(chain) -> tuple[bool, list[np.ndarray]]:
     if chain._components is None:
         P = chain.matrix
         back = P.tocsc()
-        if P.shape[0] and _reaches_all(P.indptr, P.indices) and _reaches_all(back.indptr, back.indices):
+        first = np.arange(P.shape[0]) == 0
+        if (P.shape[0] and _reached(P.indptr, P.indices, first).all()
+                and _reached(back.indptr, back.indices, first).all()):
             chain._components = [np.arange(P.shape[0])]
         else:
             from scipy.sparse import csgraph

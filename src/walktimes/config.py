@@ -20,10 +20,6 @@ class Tolerances:
 
     # linear solvers
     direct_solve_residual: float = 1e-10  # relative residual accepted from LU
-    iteration_tol: float = 1e-12          # sup-norm step size at convergence
-    divergence_threshold: float = 1e15    # iterate above this counts as infinite
-    max_sweeps: int = 100_000
-    finite_probability: float = 1e-9      # reach prob >= 1 - this counts as sure
     power_iteration_tol: float = 1e-13
     power_iteration_threshold: int = 50_000  # states above this use power iteration
 
@@ -52,11 +48,6 @@ OUTPUT_DIGITS = 12
 
 
 def fmt(x: float) -> str:
-    """Format a float with the standard number of significant digits."""
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
+    """Format a float with the standard number of significant digits;
+    nan, inf and -inf print as such."""
     return f"{x:.{OUTPUT_DIGITS}g}"

@@ -54,7 +54,8 @@ class ReducibleChainError(ChainError):
 
 
 class ConvergenceError(WalkTimesError):
-    """Iterative solver failed to converge within its sweep budget."""
+    """A solver failed: an iteration ran out of its budget, or a direct
+    solve failed its validation."""
 
 
 class QueryError(WalkTimesError, ValueError):

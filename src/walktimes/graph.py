@@ -454,12 +454,14 @@ def diameter(g: Graph) -> int:
     return levels
 
 
-def _reaches_all(ptr: np.ndarray, nbrs: np.ndarray) -> bool:
-    """Whether state 0 reaches every state, the successors of state i
-    being ``nbrs[ptr[i]:ptr[i + 1]]``: breadth first, one pass per level."""
-    seen = np.zeros(len(ptr) - 1, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
+def _reached(ptr: np.ndarray, nbrs: np.ndarray, start: np.ndarray,
+             stop: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the states reached from the states in the mask ``start``,
+    the successors of state i being ``nbrs[ptr[i]:ptr[i + 1]]``, by
+    paths that enter no state of the mask ``stop`` (disjoint from
+    ``start``): breadth first, one pass per level."""
+    seen = start.copy() if stop is None else start | stop
+    frontier = np.flatnonzero(start)
     while frontier.size:
         starts = ptr[frontier]
         counts = ptr[frontier + 1] - starts
@@ -468,12 +470,13 @@ def _reaches_all(ptr: np.ndarray, nbrs: np.ndarray) -> bool:
         found = nbrs[pos]
         frontier = np.unique(found[~seen[found]])
         seen[frontier] = True
-    return bool(seen.all())
+    return seen if stop is None else seen & ~stop
 
 
 def is_strongly_connected(g: Graph) -> bool:
     """True when every node can reach every other by directed paths."""
     if g.n <= 1:
         return True
-    return (_reaches_all(g._out_ptr, g.dst[g._out_order])
-            and _reaches_all(g._in_ptr, g.src[g._in_order]))
+    first = np.arange(g.n) == 0
+    return bool(_reached(g._out_ptr, g.dst[g._out_order], first).all()
+                and _reached(g._in_ptr, g.src[g._in_order], first).all())

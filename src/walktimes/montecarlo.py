@@ -154,10 +154,15 @@ def _sampler(chain) -> _RowSampler:
     return chain._sampler
 
 
-def _block_sizes(trials: int) -> list[int]:
+def _trial_count(trials) -> int:
+    trials = int(trials)
     if trials <= 0:
         raise QueryError("trial count must be positive")
-    full, rest = divmod(trials, BLOCK)
+    return trials
+
+
+def _block_sizes(trials) -> list[int]:
+    full, rest = divmod(_trial_count(trials), BLOCK)
     return [BLOCK] * full + ([rest] if rest else [])
 
 
@@ -187,7 +192,7 @@ def _first_passage(chain, start, t0, stop, trials, seed, cap) -> WalkStats:
     """
     sampler = _sampler(chain)
     seen = total = squares = censored = 0
-    for b, nb in enumerate(_block_sizes(int(trials))):
+    for b, nb in enumerate(_block_sizes(trials)):
         rng = _block_rng(seed, b)
         cur = start(rng, nb)
         t = t0
@@ -214,7 +219,7 @@ def simulate_so_hitting(pdata, source, target, trials,
     node-process steps; ``source == target`` is trivially zero.
     """
     if _check_node(pdata.chain, source) == _check_node(pdata.chain, target):
-        return WalkStats(0.0, 0.0, int(trials), 0)
+        return WalkStats(0.0, 0.0, _trial_count(trials), 0)
     return _node_walks(pdata, source, target, trials, seed, cap)
 
 
@@ -255,7 +260,7 @@ def simulate_so_sweep(pdata, source, trials, seed,
     dst = chain.graph.dst
     column = np.where(dst == source, n, dst)
     sums = np.zeros((4, n + 1), dtype=object)   # Python ints
-    for b, nb in enumerate(_block_sizes(int(trials))):
+    for b, nb in enumerate(_block_sizes(trials)):
         rng = _block_rng(seed, b)
         # first visit times, 0 until seen: no walk writes the source's
         # column, whose visits are all at time 0
@@ -293,6 +298,6 @@ def simulate_fo_hitting(chain, source, targets, trials,
     if not 0 <= source < n:
         raise QueryError(f"source state {source} out of range for {n} states")
     if mark[source]:
-        return WalkStats(0.0, 0.0, int(trials), 0)
+        return WalkStats(0.0, 0.0, _trial_count(trials), 0)
     return _first_passage(chain, lambda rng, nb: np.full(nb, source, dtype=np.int64),
                           0, mark, trials, seed, cap)

@@ -96,6 +96,20 @@ def escape_digraph() -> Graph:
     return Graph(6, arcs)
 
 
+def chance_digraph() -> tuple[Graph, np.ndarray]:
+    """A digraph and a transition matrix on it in which state 0 reaches
+    state 1 only by chance and state 3 reaches it surely.
+
+    From 0 the walk steps to 1 or, with the same probability, into the
+    closed pair 2 <-> 4; 1 and 3 alternate.
+    """
+    arcs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 1), (4, 2)]
+    P = np.zeros((5, 5))
+    P[0, 1] = P[0, 2] = 0.5
+    P[1, 3] = P[2, 4] = P[3, 1] = P[4, 2] = 1.0
+    return Graph(5, arcs), P
+
+
 def pendant_decorated(core: Graph, n_pendants: int, seed: int) -> Graph:
     """Attach degree-1 pendants (plus one 2-chain) to an undirected core.
 

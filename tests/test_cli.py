@@ -601,6 +601,23 @@ class TestExitCodes:
         assert "invariant failure" in err
 
 
+    def test_rejected_direct_solve_maps_to_three(self, capsys, k4_file, tmp_path,
+                                                 monkeypatch):
+        # a tensor walk solves over its edge states: a solve rejected by
+        # its validation ends the command, with no fallback
+        import walktimes._solvers as solvers
+        walk = tmp_path / "uniform.txt"
+        walk.write_text("".join(f"{i} {j} {k} 0.333333333333333333\n"
+                                for i in range(4) for j in range(4) for k in range(4)
+                                if len({i, j}) == 2 and k != j))
+        monkeypatch.setattr(solvers, "_direct_solve", lambda *args: None)
+        code, out, err = run(capsys, "hitting", "--input", k4_file, "--undirected",
+                             "--walk", f"tensor:{walk}")
+        assert code == 3
+        assert out == ""
+        assert err == ("invariant failure: direct solve of the expected steps "
+                       "failed its validation\n")
+
     def test_query_error_maps_to_two(self, capsys, c4_file, monkeypatch):
         from walktimes import secondorder as so
         real = so.return_times

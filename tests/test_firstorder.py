@@ -295,25 +295,123 @@ class TestSubsetDecomposition:
 
 class TestMinimality:
     def test_direct_and_iterative_agree(self):
-        from walktimes._solvers import _iterate_affine
-        import scipy.sparse as sp
         for seed in range(3):
             g = oracles.random_undirected(10, 8, seed + 40)
             ch = uniform_node_chain(g)
             sol = mean_hitting_times(ch, [0])
-            # rebuild the interior affine system and iterate from zero
-            interior = np.arange(1, g.n)
-            B = sp.csr_matrix(ch.matrix.toarray()[np.ix_(interior, interior)])
-            rhs = np.ones(g.n - 1)
-            it, diverged = _iterate_affine(B, rhs, None, TOL)
-            assert not diverged.any()
-            assert np.abs(it - sol.time[interior]).max() <= 1e-8
+            # value iteration x <- 1 + B x on the interior, from zero,
+            # climbs to the minimal solution
+            B = ch.matrix.toarray()[1:, 1:]
+            x = np.zeros(g.n - 1)
+            for _ in range(100_000):
+                y = 1.0 + B @ x
+                done = np.abs(y - x).max() <= 1e-12 * max(1.0, np.abs(y).max())
+                x = y
+                if done:
+                    break
+            else:
+                pytest.fail("value iteration did not converge")
+            assert np.abs(x - sol.time[1:]).max() <= 1e-8
 
-    def test_non_monotone_iterate_raises_convergence_error(self):
-        from walktimes._solvers import _iterate_affine
+    def test_rejected_direct_solve_raises_convergence_error(self, petersen):
+        from walktimes._solvers import reach_probabilities
+        from walktimes.chains import Chain
         from walktimes.errors import ConvergenceError
+        strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
+        with pytest.raises(ConvergenceError, match="direct solve of the expected steps"):
+            mean_hitting_times(uniform_node_chain(petersen), [0], tol=strict)
+        g, P = oracles.chance_digraph()
+        ch = Chain(g, P, "nodes")
+        target = np.arange(g.n) == 1
+        with pytest.raises(ConvergenceError, match="direct solve of the reach probabilities"):
+            reach_probabilities(ch.matrix, target, tol=strict)
+        # the default tolerance accepts both solves
+        assert reach_probabilities(ch.matrix, target).tolist() == [0.5, 1.0, 0.0, 1.0, 0.0]
+
+
+def random_arcs(rng, out_arcs: bool):
+    """n and the sorted arcs of a random digraph on 2..24 nodes, mostly
+    not strongly connected; with ``out_arcs`` every node has one."""
+    n = int(rng.integers(2, 25))
+    arcs = {(int(i), int(j)) for i, j in rng.integers(n, size=(n, 2)) if i != j}
+    if out_arcs:
+        arcs |= {(i, int(i + rng.integers(1, n)) % n) for i in range(n)}
+    return n, sorted(arcs)
+
+
+def random_target(rng, n):
+    target = np.zeros(n, dtype=bool)
+    target[rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)] = True
+    return target
+
+
+class TestReachMasks:
+    """Sure and possible absorption read off the support graph."""
+
+    def test_matches_networkx_on_random_arcs(self):
+        nx = pytest.importorskip("networkx")
+        from walktimes._solvers import _reach_masks
+        rng = np.random.default_rng(4)
+        kinds = np.zeros(3, dtype=bool)
+        for _ in range(40):
+            n, arcs = random_arcs(rng, out_arcs=False)
+            target = random_target(rng, n)
+            dg = nx.DiGraph(arcs)
+            dg.add_nodes_from(range(n))
+            can = target.copy()
+            for t in np.flatnonzero(target):
+                can[list(nx.ancestors(dg, int(t)))] = True
+            # with the target's out-arcs cut, a path to a state outside
+            # can never passes through the target
+            dg.remove_edges_from([(i, j) for i, j in arcs if target[i]])
+            miss = ~can
+            for v in np.flatnonzero(~can):
+                miss[list(nx.ancestors(dg, int(v)))] = True
+            got = _reach_masks(Graph(n, arcs).adjacency(), target)
+            assert np.array_equal(got[0], can) and np.array_equal(got[1], ~miss)
+            kinds |= [(can & miss).any(), (~can).any(), (~miss & ~target).any()]
+        assert kinds.all()
+
+    def test_reach_probabilities_match_dense_solve(self):
+        from walktimes._solvers import _reach_masks
+        from walktimes.chains import Chain, check_irreducible
+        rng = np.random.default_rng(5)
+        chains = [uniform_node_chain(oracles.escape_digraph()), gamblers_ruin(),
+                  Chain(*oracles.chance_digraph(), "nodes")]
+        for _ in range(40):
+            chains.append(uniform_node_chain(Graph(*random_arcs(rng, out_arcs=True))))
+        by_chance = 0
+        for ch in chains:
+            if check_irreducible(ch)[0]:
+                continue
+            n = ch.n_states
+            target = random_target(rng, n)
+            can, sure = _reach_masks(ch.matrix, target)
+            c = np.flatnonzero(can & ~sure)
+            P = ch.matrix.toarray()
+            want = sure.astype(np.float64)
+            want[c] = np.linalg.solve(np.eye(c.size) - P[np.ix_(c, c)],
+                                      P[np.ix_(c, sure)].sum(axis=1))
+            phi = hitting_probabilities(ch, np.flatnonzero(target))
+            assert np.array_equal(phi[~(can & ~sure)], want[~(can & ~sure)])
+            assert np.allclose(phi, want, rtol=1e-12, atol=0)
+            by_chance += c.size
+        assert by_chance >= 20
+
+    def test_irreducible_chain_gives_exact_ones(self, petersen):
+        assert np.array_equal(hitting_probabilities(uniform_node_chain(petersen), [3]),
+                              np.ones(petersen.n))
+
+    def test_near_sure_state_is_infinite(self):
+        # state 0 enters the target 1 with probability 1 - 1e-12 and the
+        # closed pair 2 <-> 3 with 1e-12: it can miss, so its mean time
+        # is infinite however small the chance
         import scipy.sparse as sp
-        # x <- 1 - 0.5 x goes 0, 1, 0.5: the second step decreases
-        B = sp.csr_matrix(np.array([[-0.5]]))
-        with pytest.raises(ConvergenceError, match="monotonicity"):
-            _iterate_affine(B, np.ones(1), None, TOL)
+        from walktimes.chains import Chain
+        g = Graph(4, [(0, 1), (0, 2), (1, 0), (2, 3), (3, 2)])
+        P = sp.csr_matrix(([1 - 1e-12, 1e-12, 1.0, 1.0, 1.0], ([0, 0, 1, 2, 3], [1, 2, 0, 3, 2])),
+                          shape=(4, 4))
+        sol = mean_hitting_times(Chain(g, P, "nodes"), [1])
+        assert sol.time.tolist() == [np.inf, 0.0, np.inf, np.inf]
+        assert sol.finite.tolist() == [False, True, False, False]
+        assert sol.probability.tolist() == [1 - 1e-12, 1.0, 0.0, 0.0]

@@ -155,6 +155,13 @@ class TestCsv:
         text = csv_text(["v"], [[float("inf")], [float("nan")]])
         assert text.splitlines()[1:] == ["inf", "nan"]
 
+    def test_fmt(self):
+        from walktimes.config import fmt
+        values = [float("nan"), float("inf"), float("-inf"), np.float64("inf"),
+                  1.0 / 3.0, -2.5, 0.0, 1e20, 2, 123456789012345.0]
+        assert [fmt(v) for v in values] == ["nan", "inf", "-inf", "inf", "0.333333333333",
+                                            "-2.5", "0", "1e+20", "2", "1.23456789012e+14"]
+
     def test_write_csv(self, tmp_path):
         p = tmp_path / "out.csv"
         write_csv(str(p), ["n"], [[1], [2]])

@@ -178,6 +178,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             simulate_fo_hitting(ch, 0, {1}, trials=0, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_zero_time_walks_check_trials(self, k4, trials):
+        # a walk that starts on its target takes no step, but its trial
+        # count is checked like every other
+        pdata = equilibrium_pullback(nonbacktracking_edge_chain(k4))
+        ch = uniform_node_chain(k4)
+        with pytest.raises(QueryError, match="trial count must be positive"):
+            simulate_so_hitting(pdata, 2, 2, trials=trials, seed=0)
+        with pytest.raises(QueryError, match="trial count must be positive"):
+            simulate_fo_hitting(ch, 1, {1, 3}, trials=trials, seed=0)
+        assert simulate_so_hitting(pdata, 2, 2, trials=7, seed=0) == WalkStats(0.0, 0.0, 7, 0)
+        assert simulate_fo_hitting(ch, 1, {1, 3}, trials=7, seed=0) == WalkStats(0.0, 0.0, 7, 0)
+
     def test_stderr_scale(self, c4):
         # NB walk from 0 to 1 takes 1 or 3 steps with equal chance, so
         # the population variance is exactly 1 and the standard error

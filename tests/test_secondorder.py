@@ -434,8 +434,9 @@ class TestReachSolveOnlyOnReducibleChains:
             for e in range(g.m):
                 calls = count_splu(monkeypatch)
                 sol = mean_hitting_times(ch, [e])
-                # one LU for the reach probabilities, one for the steps
-                assert len(calls) == 2
+                # one LU per solve with unknowns: every state reaches the
+                # target surely or never, so only the steps take one
+                assert len(calls) == 1
                 own = next(c for c in comps if e in c)
                 expect_inf = np.ones(g.m, dtype=bool)
                 expect_inf[own] = False
@@ -449,6 +450,14 @@ class TestReachSolveOnlyOnReducibleChains:
                 )
                 assert np.array_equal(sol.time, reach_time)
                 assert np.array_equal(sol.probability, phi)
+        # state 0 reaches the target by chance, state 3 surely: one LU
+        # for the reach probabilities, one for the steps
+        from walktimes.chains import Chain
+        calls = count_splu(monkeypatch)
+        sol = mean_hitting_times(Chain(*oracles.chance_digraph(), "nodes"), [1])
+        assert len(calls) == 2
+        assert sol.time.tolist() == [np.inf, 0.0, np.inf, 1.0, np.inf]
+        assert sol.probability.tolist() == [0.5, 1.0, 0.0, 1.0, 0.0]
 
     def test_route_both_on_reducible_chain_fails_fast(self, c4):
         ch = nonbacktracking_edge_chain(c4)
@@ -629,7 +638,10 @@ class TestNodeSpaceRoute:
         # those of the set solved alone under the same block width: the
         # dense base's products take the shape of a whole block
         import walktimes._solvers as solvers
+        # the strict tolerance rejects every node-space result: its sets
+        # take chain_steps, at the default tolerance
         strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
+        node_space = solvers._node_space_steps
         for budget in budgets():
             monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
             big = oracles.random_undirected(120, 240, 1)
@@ -637,12 +649,15 @@ class TestNodeSpaceRoute:
                       uniform_edge_chain(oracles.path_graph(3)), random_tensor_chain(petersen, 5),
                       nonbacktracking_edge_chain(oracles.cycle_graph(4))]
             for ch, tol in [(ch, TOL) for ch in chains] + [(chains[1], strict)]:
+                monkeypatch.setattr(solvers, "_node_space_steps",
+                                    lambda chain, in_S, sets, _, tol=tol:
+                                    node_space(chain, in_S, sets, tol))
                 n = ch.graph.n
                 sets = [(k,) for k in range(n)] + [(0, n - 1), tuple(range(0, n, 2))]
                 for block in (solvers._BLOCK, 3):   # blocks as shipped, then three sets a block
                     monkeypatch.setattr(solvers, "_BLOCK", block)
-                    one = [node_target_steps(ch, S, tol=tol)[0] for S in sets]
-                    got = [x for x, _, _ in _node_sets_steps(ch, sets, tol)]
+                    one = [node_target_steps(ch, S)[0] for S in sets]
+                    got = [x for x, _, _ in _node_sets_steps(ch, sets)]
                     assert len(got) == len(sets)
                     assert all(np.array_equal(a, b) for a, b in zip(got, one))
 
@@ -815,39 +830,6 @@ class TestEdgeChainReturnCrossCheck:
                     # budget a sparse LU, serves the three nodes, the set
                     # and every target; none is over edges
                     assert (dense, calls) == (([g.n], []) if budget else ([], [g.n]))
-
-
-class TestIterativeFallback:
-    """Every direct solve rejected: the monotone iteration must give the same times."""
-
-    def test_matches_direct_solve(self, c4, k4, monkeypatch):
-        import walktimes._solvers as solvers
-        calls = []
-        real = solvers._iterate_affine
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "_iterate_affine", counted)
-        forced = dataclasses.replace(TOL, direct_solve_residual=-1.0)
-
-        def times(ch, tol):
-            # node targets of the walk, and single edge states of its chain
-            nodes = [secondorder.mean_hitting_times(ch, k, tol=tol).time
-                     for k in range(ch.graph.n)]
-            states = [mean_hitting_times(ch, [e], tol=tol).time
-                      for e in range(ch.n_states)]
-            return np.concatenate(nodes + states)
-
-        for ch in (nonbacktracking_edge_chain(c4), uniform_edge_chain(k4)):
-            direct = times(ch, TOL)
-            calls.clear()
-            fallback = times(ch, forced)
-            assert calls
-            inf = np.isinf(direct)
-            assert np.array_equal(inf, np.isinf(fallback))
-            assert np.allclose(fallback[~inf], direct[~inf], rtol=1e-9, atol=0)
 
 
 class TestTargetWithoutInEdges:
