@@ -11,8 +11,9 @@ Monte Carlo sampler.
 
 Importing the package loads none of its submodules: each public name
 is imported from the submodule that defines it on first use. Graphs
-need numpy alone, so reading, stripping and measuring a graph start
-without scipy; the first chain, solve or sample imports it.
+need numpy alone, and so do the built-in walks on undirected graphs,
+their pullbacks, their node-space queries and their samples; tensor
+walks, sparse factorizations and density solves import scipy.
 """
 
 import importlib

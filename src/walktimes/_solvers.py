@@ -22,7 +22,10 @@ target, are nonsingular: every one of their states has a path out of
 them.
 
 Both systems are solved directly with a sparse LU factorization, and
-the result is validated (finiteness, sign, residual). A solve that
+the result is validated (finiteness, sign, residual). They, and the
+sparse base LU below, are what load scipy.sparse: the node route
+computes on the chain's CSR arrays and the graph's index arrays with
+numpy (``chains._csr_dot``). A solve that
 fails validation raises ``ConvergenceError``. On an irreducible chain
 every state reaches every target surely, so ``chain_steps`` skips the
 masks and takes one sparse LU per target; a reducible chain pays a
@@ -80,12 +83,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .chains import check_irreducible
+from .chains import (
+    _CSR,
+    _csr_dot,
+    _csr_rows,
+    _from_triplets,
+    _scipy_csr,
+    check_irreducible,
+)
 from .config import TOL, Tolerances
 from .errors import ConvergenceError
-from .graph import _continuations, _reached
+from .graph import _reached, _reversals
 
 __all__ = ["reach_probabilities", "expected_steps", "chain_steps", "node_target_steps"]
 
@@ -98,9 +107,12 @@ _PAIR_PIVOT = 2.0**-10
 # sparse LU of its base system
 _DENSE_BYTES = 2**28
 # within that budget, a system of at most this many unknowns is always
-# inverted: at 128 the inverse took as long as one target set's sparse
-# LU and solves (3 ms), and it spares loading the sparse factorization
-_DENSE_SIZE = 128
+# inverted: the sparse route loads scipy.sparse and its factorization
+# (0.19-0.26 s per process). As fresh processes, return-times --set on
+# nb walks of synthetic cores took 0.33 s dense against 0.50 s sparse at
+# 900 unknowns, 0.44 against 0.53 at 1,200, 0.65 against 0.68 at 1,500
+# and 0.84 against 0.68 at 1,800, with one BLAS thread
+_DENSE_SIZE = 1500
 # a larger one is inverted for a call that solves at least one target
 # set per this many unknowns, and otherwise takes the sparse LU: on nb
 # walks of synthetic cores, with one BLAS thread, the inverse paid off
@@ -132,8 +144,10 @@ def splu(A, **kwargs):
     return superlu(A, **kwargs)
 
 
-def _direct_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances):
+def _direct_solve(B, rhs: np.ndarray, tol: Tolerances):
     """Solve (I - B) x = rhs; None when the factorization is unusable."""
+    import scipy.sparse as sp
+
     n = B.shape[0]
     A = (sp.identity(n, format="csr") - B).tocsc()
     try:
@@ -148,7 +162,7 @@ def _direct_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances):
     return x
 
 
-def _validated_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances,
+def _validated_solve(B, rhs: np.ndarray, tol: Tolerances,
                      what: str, upper: float = np.inf) -> np.ndarray:
     """``_direct_solve``, its solution within [-1e-9, ``upper``]; a
     rejected solve raises ``ConvergenceError``."""
@@ -158,7 +172,7 @@ def _validated_solve(B: sp.csr_matrix, rhs: np.ndarray, tol: Tolerances,
     return x
 
 
-def _reach_masks(P: sp.spmatrix, target: np.ndarray):
+def _reach_masks(P, target: np.ndarray):
     """(can, sure) of the target mask on the support of P, whose stored
     entries are its nonzeros as in a ``Chain``'s matrix: the states
     with a path into the target, and those with no path, outside the
@@ -168,7 +182,7 @@ def _reach_masks(P: sp.spmatrix, target: np.ndarray):
     return can, ~_reached(back.indptr, back.indices, ~can, stop=target)
 
 
-def _reach(P: sp.csr_matrix, target: np.ndarray, tol: Tolerances):
+def _reach(P, target: np.ndarray, tol: Tolerances):
     """(reach probabilities, ``sure`` mask) of the target mask."""
     can, sure = _reach_masks(P, target)
     phi = sure.astype(np.float64)
@@ -181,7 +195,7 @@ def _reach(P: sp.csr_matrix, target: np.ndarray, tol: Tolerances):
     return phi, sure
 
 
-def reach_probabilities(P: sp.csr_matrix, target: np.ndarray,
+def reach_probabilities(P, target: np.ndarray,
                         tol: Tolerances = TOL) -> np.ndarray:
     """Probability of ever entering the target set, per state.
 
@@ -192,7 +206,7 @@ def reach_probabilities(P: sp.csr_matrix, target: np.ndarray,
     return _reach(P, np.asarray(target, dtype=bool), tol)[0]
 
 
-def expected_steps(P: sp.csr_matrix, zero_boundary: np.ndarray,
+def expected_steps(P, zero_boundary: np.ndarray,
                    one_boundary: np.ndarray | None = None, *,
                    assume_sure: bool, tol: Tolerances = TOL):
     """Expected steps to absorption with fixed boundary values.
@@ -249,24 +263,23 @@ def _pair_form(chain):
     support with one common probability c_e. ``rev`` is the index of
     each edge's reversal, -1 where it is not an edge (d is 0 there).
     A row whose only continuation is its reversal takes
-    c = P[e, rev e], so d = 0.
+    c = P[e, rev e], so d = 0. The chain's arrays must be canonical.
     """
-    g, P = chain.graph, chain.matrix
-    if not P.has_canonical_format:
-        return None
+    g = chain.graph
     m = g.m
-    ids = sp.csr_matrix((np.arange(1, m + 1), (g.src, g.dst)), shape=(g.n, g.n))
-    rev = np.asarray(ids[g.dst, g.src]).ravel().astype(np.int64) - 1
-    rows = np.repeat(np.arange(m), np.diff(P.indptr))
-    back = P.indices == rev[rows]
+    rows = _csr_rows(chain.indptr)
+    if ((np.diff(chain.indices) <= 0) & (rows[1:] == rows[:-1])).any():
+        return None
+    rev = _reversals(g)
+    back = chain.indices == rev[rows]
     on = ~back
     b = np.zeros(m)
-    b[rows[back]] = P.data[back]
+    b[rows[back]] = chain.data[back]
     c = np.zeros(m)
-    c[rows[on]] = P.data[on]
-    cont = _continuations(g)
+    c[rows[on]] = chain.data[on]
+    cont = g.out_degree[g.dst] - (rev >= 0)
     count = np.bincount(rows[on], minlength=m)
-    if not ((P.data[on] == c[rows[on]]).all() and (count == cont).all()):
+    if not ((chain.data[on] == c[rows[on]]).all() and (count == cont).all()):
         return None
     c = np.where(cont == 0, b, c)
     return c, np.where(rev >= 0, c - b, 0.0), rev
@@ -283,24 +296,25 @@ class _NodeSystem:
     for interior right-hand side h: x = ``pair`` h + ``lift`` S. The
     row of forced edge e reads x_e + d_e x_(rev e) - c_e S_j = h_e.
 
-    ``base_matrix`` B0 is the system of the target node ``k0`` at full
-    size, each unknown it drops (``base_pinned``) held at zero by a
-    unit row, with the pair terms of k0's in-edges on the diagonals of
-    their tails (``base_diag``). Every other target set changes a few
-    of its rows. ``base`` is B0^-1, dense, or the SuperLU of B0, made
-    by the first call that needs it (``_factor_base``). ``rhs0`` is the
-    first right-hand side of the empty target set, every edge interior,
-    and ``y0`` its solution through the dense base.
+    ``base_entries`` holds the triplets of B0, the system of the
+    target node ``k0`` at full size, each unknown it drops
+    (``base_pinned``) held at zero by a unit row, with the pair terms
+    of k0's in-edges on the diagonals of their tails (``base_diag``).
+    Every other target set changes a few of its rows. ``base`` is
+    B0^-1, dense, or the SuperLU of B0, made by the first call that
+    needs it (``_factor_base``). ``rhs0`` is the first right-hand side
+    of the empty target set, every edge interior, and ``y0`` its
+    solution through the dense base.
     """
 
-    matrix: sp.csr_matrix
-    tails: sp.csr_matrix       # node-by-edge tail indicator: sums over out-edges
-    residual: sp.csr_matrix    # [P - I | 1], extended precision: [x; 1] to 1 + P x - x
-    pair: sp.csr_matrix   # edge-by-edge, zero on forced edges, like lift
-    lift: sp.csr_matrix   # edge-by-node
+    matrix: _CSR          # canonical, as scipy's COO sums duplicates
+    tails: _CSR           # node-by-edge tail indicator: sums over out-edges
+    residual: _CSR        # [P - I | 1], extended precision: [x; 1] to 1 + P x - x
+    pair: _CSR            # edge-by-edge, zero on forced edges, like lift
+    lift: _CSR            # edge-by-node
     beta: np.ndarray
     forced: np.ndarray    # edge index of each extra unknown
-    base_matrix: sp.csc_matrix
+    base_entries: tuple   # (values, (rows, cols)) of B0, duplicates to be summed
     base_pinned: np.ndarray
     base_diag: np.ndarray
     rhs0: np.ndarray
@@ -308,26 +322,28 @@ class _NodeSystem:
     y0: np.ndarray | None = None
 
 
-def _target_rows(g, tails, beta, forced, in_S):
+def _target_rows(g, beta, forced, in_S):
     """(pinned, diag, interior) of the node sets in the columns of the
     mask ``in_S`` (n x K).
 
     ``pinned`` marks the unknowns each set drops: S_j for j in S and
     the forced edges off the interior. ``diag`` holds, per unknown,
     the pair terms of the edges entering S from outside, which leave
-    the diagonals of their tails.
+    the diagonals of their tails: summed per tail and set in
+    ascending edge order.
     """
     leaving = in_S[g.src]
     entering = in_S[g.dst] & ~leaving
     interior = ~(leaving | entering)
     pinned = np.concatenate([in_S, ~interior[forced]])
     diag = np.zeros(pinned.shape)
-    diag[:g.n] = tails @ (beta[:, None] * entering)
+    e, k = np.nonzero(entering)
+    np.add.at(diag, (g.src[e], k), beta[e])
     return pinned, diag, interior
 
 
-def _factor(A: sp.spmatrix):
-    """SuperLU of a node system, None when the factorization fails."""
+def _factor(A):
+    """SuperLU of a scipy sparse node system, None when the factorization fails."""
     try:
         return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
@@ -345,19 +361,24 @@ def _factor_base(ns: _NodeSystem, sets: int) -> bool:
     the sparse LU of B0. Once formed, the dense inverse serves every
     later call.
     """
-    size = ns.base_matrix.shape[0]
+    size = ns.base_pinned.size
     if isinstance(ns.base, np.ndarray):
         return True
     if (4 * size**2 * 8 <= _DENSE_BYTES
             and (size <= _DENSE_SIZE or sets * _DENSE_SETS >= size)):
+        vals, (rows, cols) = ns.base_entries
+        BT = np.zeros((size, size))
+        np.add.at(BT, (cols, rows), vals)   # B0^T, as its scipy toarray sums it
         try:
             # column-major, so the columns Woodbury takes are contiguous
-            G = np.linalg.inv(ns.base_matrix.T.toarray()).T
+            G = np.linalg.inv(BT).T
         except np.linalg.LinAlgError:
             return False
         ns.base, ns.y0 = G, G @ ns.rhs0
     elif ns.base is None:
-        ns.base = _factor(ns.base_matrix)
+        import scipy.sparse as sp
+
+        ns.base = _factor(sp.csc_matrix(ns.base_entries, shape=(size, size)))
     return ns.base is not None
 
 
@@ -379,36 +400,35 @@ def _assemble_node_system(chain) -> _NodeSystem | None:
     slot[fe] = n + np.arange(fe.size)
     size = n + fe.size
     e = np.flatnonzero(~forced)
-    rows = np.concatenate([np.arange(size), g.src[e], g.src[e],
-                           g.src[fe], slot[fe], slot[fe]])
-    cols = np.concatenate([np.arange(size), g.dst[e], g.src[e],
-                           slot[fe], slot[r[fe]], g.dst[fe]])
-    vals = np.concatenate([np.ones(size), -alpha[e], -beta[e],
-                           -np.ones(fe.size), d[fe], -c[fe]])
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(size, size))
-    matrix.sum_duplicates()
-    tails = sp.csr_matrix((np.ones(g.m), (g.src, np.arange(g.m))), shape=(n, g.m))
+    matrix = _from_triplets(
+        np.concatenate([np.arange(size), g.src[e], g.src[e], g.src[fe], slot[fe], slot[fe]]),
+        np.concatenate([np.arange(size), g.dst[e], g.src[e], slot[fe], slot[r[fe]], g.dst[fe]]),
+        np.concatenate([np.ones(size), -alpha[e], -beta[e], -np.ones(fe.size), d[fe], -c[fe]]),
+        (size, size))
+    tails = _CSR(g._out_ptr, g._out_order, np.ones(g.m), (n, g.m))
     # the base target has the fewest in-edges: its rows enter every
     # other target's correction
     k0 = int(np.argmin(np.bincount(g.dst, minlength=n)))
-    pinned, diag, _ = _target_rows(g, tails, beta, fe, (np.arange(n) == k0)[:, None])
+    pinned, diag, _ = _target_rows(g, beta, fe, (np.arange(n) == k0)[:, None])
     pinned, diag = pinned[:, 0], diag[:, 0]
-    on = ~pinned[matrix.row]
+    mrows = _csr_rows(matrix.indptr)
+    on = ~pinned[mrows]
     idx = np.arange(size)
-    base = sp.csc_matrix((np.concatenate([matrix.data[on], np.where(pinned, 1.0, diag)]),
-                          (np.concatenate([matrix.row[on], idx]),
-                           np.concatenate([matrix.col[on], idx]))), shape=(size, size))
-    edges = np.arange(g.m)
-    pair = sp.csr_matrix((np.concatenate([1.0 / det, -d / det]),
-                          (np.concatenate([edges, edges]), np.concatenate([edges, r]))),
-                         shape=(g.m, g.m))
-    lift = sp.csr_matrix((np.concatenate([alpha, beta]),
-                          (np.concatenate([edges, edges]), np.concatenate([g.dst, g.src]))),
-                         shape=(g.m, n))
-    rhs0 = np.concatenate([tails @ (pair @ np.ones(g.m)), np.ones(fe.size)])
-    residual = sp.hstack([chain.matrix - sp.identity(g.m), np.ones((g.m, 1))], format="csr")
-    return _NodeSystem(matrix.tocsr(), tails, residual.astype(np.longdouble),
-                       pair, lift, beta, fe, base, pinned, diag, rhs0)
+    base = (np.concatenate([matrix.data[on], np.where(pinned, 1.0, diag)]),
+            (np.concatenate([mrows[on], idx]), np.concatenate([matrix.indices[on], idx])))
+    edges = np.concatenate([np.arange(g.m), np.arange(g.m)])
+    pair = _from_triplets(edges, np.concatenate([np.arange(g.m), r]),
+                          np.concatenate([1.0 / det, -d / det]), (g.m, g.m))
+    lift = _from_triplets(edges, np.concatenate([g.dst, g.src]),
+                          np.concatenate([alpha, beta]), (g.m, n))
+    rhs0 = np.concatenate([_csr_dot(tails, _csr_dot(pair, np.ones(g.m))), np.ones(fe.size)])
+    rows = _csr_rows(chain.indptr)
+    residual = _from_triplets(
+        np.concatenate([rows, np.arange(g.m), np.arange(g.m)]),
+        np.concatenate([chain.indices, np.arange(g.m), np.full(g.m, g.m)]),
+        np.concatenate([chain.data, -np.ones(g.m), np.ones(g.m)]).astype(np.longdouble),
+        (g.m, g.m + 1))
+    return _NodeSystem(matrix, tails, residual, pair, lift, beta, fe, base, pinned, diag, rhs0)
 
 
 def _node_system(chain) -> _NodeSystem | None:
@@ -477,9 +497,12 @@ def _set_solver(ns: _NodeSystem, pinned, diag, cols):
     for r in np.unique(rows[cols]):
         ks = cols[rows[cols] == r]
         if not dense and r > _WOODBURY_ROWS + size // 16:
+            import scipy.sparse as sp
+
+            M = _scipy_csr(ns.matrix)
             for k in ks:
                 idx = np.flatnonzero(keep[:, k])
-                lu = _factor(ns.matrix[idx][:, idx] + sp.diags(diag[idx, k]))
+                lu = _factor(M[idx][:, idx] + sp.diags(diag[idx, k]))
                 failed[k] = lu is None
                 if lu is not None:
                     direct.append((k, idx, lu))
@@ -499,11 +522,13 @@ def _set_solver(ns: _NodeSystem, pinned, diag, cols):
             W = np.stack([ns.base.solve(u) for u in U])
         # the rows R of M, set i's columns moved to i * size: block
         # diagonal, so one product serves every set of the group
-        MR = ns.matrix[R.ravel()]
-        set_of = np.repeat(np.arange(ks.size * r) // r, np.diff(MR.indptr))
-        MR = sp.csr_matrix((MR.data, MR.indices + set_of * size, MR.indptr),
-                           shape=(ks.size * r, ks.size * size))
-        MW = (MR @ W.reshape(ks.size * size, r)).reshape(ks.size, r, r)
+        starts = ns.matrix.indptr[R.ravel()]
+        counts = ns.matrix.indptr[R.ravel() + 1] - starts
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        MR = _CSR(indptr, ns.matrix.indices[at] + np.repeat(np.arange(ks.size * r) // r, counts)
+                  * size, ns.matrix.data[at], (ks.size * r, ks.size * size))
+        MW = _csr_dot(MR, W.reshape(ks.size * size, r)).reshape(ks.size, r, r)
         C = np.eye(r) + sign[..., None] * MW + shift[..., None] * W[i, R]
         groups.append((ks, R, sign, shift, W, MR, C))
     woodbury = np.concatenate([np.zeros(0, dtype=np.int64)] + [ks for ks, *_ in groups])
@@ -518,7 +543,7 @@ def _set_solver(ns: _NodeSystem, pinned, diag, cols):
         for ks, R, sign, shift, W, MR, C in groups:
             yk = y[:, ks]
             i = np.arange(ks.size)[:, None]
-            v = sign * (MR @ yk.T.ravel()).reshape(R.shape) + shift * yk[R, i]
+            v = sign * _csr_dot(MR, yk.T.ravel()).reshape(R.shape) + shift * yk[R, i]
             try:
                 c = np.linalg.solve(C, v[..., None])
             except np.linalg.LinAlgError:   # a singular capacitance matrix
@@ -547,16 +572,16 @@ def _node_space_steps(chain, in_S, sets: int, tol: Tolerances):
     if not _factor_base(ns, sets):
         chain._node_system = False
         return x, served
-    pinned, diag, interior = _target_rows(g, ns.tails, ns.beta, ns.forced, in_S)
+    pinned, diag, interior = _target_rows(g, ns.beta, ns.forced, in_S)
     solver, failed = _set_solver(ns, pinned, diag, np.flatnonzero(~served))
 
     def solve(h, known, first):
         """x for right-hand sides h on the interior, boundary values ``known``."""
-        g0 = ns.pair @ h
-        fixed = ns.tails @ np.where(interior, g0, known)
+        g0 = _csr_dot(ns.pair, h)
+        fixed = _csr_dot(ns.tails, np.where(interior, g0, known))
         full = solver(np.concatenate([fixed, h[ns.forced]]), first)
         failed[~np.isfinite(full).all(axis=0)] = True
-        y = g0 + ns.lift @ full[:n]
+        y = g0 + _csr_dot(ns.lift, full[:n])
         y[ns.forced] = full[n:]
         return y
 
@@ -569,11 +594,11 @@ def _node_space_steps(chain, in_S, sets: int, tol: Tolerances):
     # formed in extended precision, recovers
     x = settle(solve(interior.astype(np.float64), x, True))
     xl = np.concatenate([x, np.ones((1, x.shape[1]))], dtype=np.longdouble)
-    h = np.where(interior, (ns.residual @ xl).astype(np.float64), 0.0)
+    h = np.where(interior, _csr_dot(ns.residual, xl).astype(np.float64), 0.0)
     x = settle(x + solve(h, 0.0, False))
     # the test _direct_solve applies, on the interior edge equations; the
     # boundary values are 0 and 1
-    resid = np.abs(np.where(interior, x - chain.matrix @ x - 1.0, 0.0)).max(axis=0)
+    resid = np.abs(np.where(interior, x - _csr_dot(chain, x) - 1.0, 0.0)).max(axis=0)
     failed |= (x < -1e-9).any(axis=0)
     failed |= resid > tol.direct_solve_residual * np.maximum(1.0, np.abs(x).max(axis=0))
     return np.maximum(x, 0.0), served | ~failed

@@ -5,8 +5,10 @@ simulate, validate. Exit codes: 0 success, 1 usage, 2 malformed or
 unsuitable input data, 3 violated numerical invariant.
 
 The solver modules (chains, pullback, firstorder, secondorder,
-montecarlo) and with them scipy are imported inside the commands that
-use them, so ``info``, ``strip`` and usage errors start without scipy.
+montecarlo) are imported inside the commands that use them, and scipy
+only by the routes that need it (see ``chains``): ``info``, ``strip``,
+usage errors and the built-in walks on undirected graphs start without
+scipy.
 """
 
 from __future__ import annotations
@@ -382,7 +384,7 @@ def cmd_validate(args) -> int:
     if irr:
         try:
             pdata = equilibrium_pullback(chain)
-            resid = _residual(chain.matrix, pdata.edge_density)
+            resid = _residual(chain, pdata.edge_density)
             record("PASS", "invariant-density", f"residual {resid:.3e}")
             record("PASS", "pullback-identities",
                    "lifting/restriction and balance checks hold")

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import chain_steps, reach_probabilities
-from .chains import check_irreducible, stationary_density
+from .chains import (
+    _csr_dot,
+    _csr_rows,
+    _from_triplets,
+    check_irreducible,
+    stationary_density,
+)
 from .config import TOL, Tolerances
 from .errors import InvariantViolation, QueryError, SizeCapError
 
@@ -182,7 +188,7 @@ def return_times(chain, S, pi=None, tol: Tolerances = TOL) -> ReturnData:
 
 def _time_residual(P, T, pi) -> np.ndarray:
     """ones - diag(1/pi) - (I - P) T: T's defining equation, zero where it holds."""
-    R = 1.0 - (T - P @ T)
+    R = 1.0 - (T - _csr_dot(P, T))
     R[np.diag_indices_from(R)] -= 1.0 / pi
     return R
 
@@ -212,14 +218,19 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
         raise InvariantViolation(
             "hitting time is infinite: some state never reaches the target set"
         )
-    A = np.eye(n) - chain.matrix.toarray()
+    A = np.eye(n)
+    # minus P, each stored entry subtracted in turn, as scipy's toarray sums them
+    np.subtract.at(A, (_csr_rows(chain.indptr), chain.indices), chain.data)
     A += pi[None, :]
     Z = np.linalg.inv(A)
     T = (np.diag(Z)[None, :] - Z) / (pi @ Z)[None, :]
     # the correction solves (I - P) D = R with zero diagonal; each
     # column's diagonal entry, the return equation, is redundant, so
     # it is set to keep the column orthogonal to pi and solvable
-    R = _time_residual(chain.matrix.astype(np.longdouble), T.astype(np.longdouble), pi)
+    # in extended precision, entries sorted as scipy's astype sorts them
+    wide = _from_triplets(_csr_rows(chain.indptr), chain.indices,
+                          chain.data.astype(np.longdouble), chain.shape)
+    R = _time_residual(wide, T.astype(np.longdouble), pi)
     R[np.diag_indices(n)] = np.diag(R) - (pi @ R) / pi
     D = Z @ R.astype(np.float64)
     T += D - np.diag(D)[None, :]
@@ -231,7 +242,7 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
         raise InvariantViolation(
             f"density-weighted row means of the time matrix vary by {spread:.3e}"
         )
-    resid = np.abs(_time_residual(chain.matrix, T, pi)).max()
+    resid = np.abs(_time_residual(chain, T, pi)).max()
     if resid > tol.t_matrix_residual * max(1.0, np.abs(T).max() * 1e-6):
         raise InvariantViolation(
             f"time matrix violates its linear equation: residual {resid:.3e}"

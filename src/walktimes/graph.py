@@ -403,10 +403,18 @@ def line_graph(g: Graph) -> LineGraphMap:
                         backtracking=g.dst[head] == g.src[tail])
 
 
+def _reversals(g: Graph) -> np.ndarray:
+    """Per edge (i, j): the index of edge (j, i), -1 where it is not an edge."""
+    key = g.src * g.n + g.dst
+    order = np.argsort(key)
+    want = g.dst * g.n + g.src
+    at = order[np.minimum(np.searchsorted(key, want, sorter=order), g.m - 1)]
+    return np.where(key[at] == want, at, -1)
+
+
 def _continuations(g: Graph) -> np.ndarray:
     """Per edge (i, j): the number of edges (j, k) with k != i."""
-    reverse = np.isin(g.dst * g.n + g.src, g.src * g.n + g.dst)
-    return g.out_degree[g.dst] - reverse
+    return g.out_degree[g.dst] - (_reversals(g) >= 0)
 
 
 def dangling_edges(g: Graph) -> list[int]:

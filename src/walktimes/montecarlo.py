@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import TOL
 from .errors import ChainError, QueryError
@@ -97,8 +96,8 @@ class _RowSampler:
     the lookup costs more than the few passes it saves.
     """
 
-    def __init__(self, P: sp.csr_matrix):
-        P = P.tocsr()
+    def __init__(self, P):
+        """P: a ``Chain`` or a scipy CSR matrix, rows in stored order."""
         self.indptr = P.indptr.astype(np.int64)
         self.indices = P.indices.astype(np.int64)
         rowlen = np.diff(self.indptr)
@@ -150,7 +149,7 @@ class _RowSampler:
 def _sampler(chain) -> _RowSampler:
     """The chain's row sampler, built on its first walk and kept on the chain."""
     if chain._sampler is None:
-        chain._sampler = _RowSampler(chain.matrix)
+        chain._sampler = _RowSampler(chain)
     return chain._sampler
 
 

@@ -18,17 +18,23 @@ probability proportional to the invariant mass of (i, j).
 ``equilibrium_pullback`` is the one constructor. It decides no
 density itself: it takes a supplied ``pihat``, validated, else the
 density the chain carries (see ``Chain``), else the solved one.
+
+Both operators index edge e by its target, so their products are
+sums grouped by node, formed with ``np.bincount`` in the order
+scipy's sparse products sum them. ``lifting``, ``restriction`` and
+``first_step_matrix`` are scipy CSR views, built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chains import (
     Chain,
+    _csr_rows,
     _require_edge_chain,
     _validate_density,
     check_irreducible,
@@ -43,6 +49,12 @@ __all__ = [
 ]
 
 
+def _view(values, rows, cols, shape):
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((values, (rows, cols)), shape=shape)
+
+
 @dataclass(frozen=True)
 class PullbackData:
     """Equilibrium link between an edge chain and its node chain."""
@@ -51,11 +63,26 @@ class PullbackData:
     edge_density: np.ndarray      # invariant density over edges
     node_density: np.ndarray      # induced density over nodes
     arrival_weights: np.ndarray   # per edge: P(arrived along e | now at ter(e))
-    lifting: sp.csr_matrix        # nodes x edges, rows sum to 1
-    restriction: sp.csr_matrix    # edges x nodes, 0/1 target indicator
     pullback: Chain               # collapsed first-order chain on nodes
     first_transition: np.ndarray  # per edge: P(first step uses e | start at sou(e))
-    first_step_matrix: sp.csr_matrix  # nodes x edges, first_transition values
+
+    @cached_property
+    def lifting(self):
+        """nodes x edges ``scipy.sparse.csr_matrix``, arrival weights; rows sum to 1."""
+        g = self.chain.graph
+        return _view(self.arrival_weights, g.dst, np.arange(g.m), (g.n, g.m))
+
+    @cached_property
+    def restriction(self):
+        """edges x nodes ``scipy.sparse.csr_matrix``, the 0/1 target indicator."""
+        g = self.chain.graph
+        return _view(np.ones(g.m), np.arange(g.m), g.dst, (g.m, g.n))
+
+    @cached_property
+    def first_step_matrix(self):
+        """nodes x edges ``scipy.sparse.csr_matrix``, first_transition values."""
+        g = self.chain.graph
+        return _view(self.first_transition, g.src, np.arange(g.m), (g.n, g.m))
 
     def lift(self, node_density: np.ndarray) -> np.ndarray:
         """Spread a density on nodes over their in-edges."""
@@ -65,7 +92,8 @@ class PullbackData:
     def restrict(self, edge_density: np.ndarray) -> np.ndarray:
         """Collapse a density on edges onto their target nodes."""
         v = np.asarray(edge_density, dtype=np.float64)
-        return np.asarray(self.restriction.T @ v).ravel()
+        g = self.chain.graph
+        return np.bincount(g.dst, weights=v, minlength=g.n)
 
 
 def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -96,7 +124,7 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     _require_edge_chain(chain)
     g = chain.graph
     if pihat is not None:
-        pihat = _validate_density(chain.matrix, pihat, tol.density_residual, "supplied edge")
+        pihat = _validate_density(chain, pihat, tol.density_residual, "supplied edge")
     elif chain.density is not None:
         pihat = chain.density
     else:
@@ -119,22 +147,20 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     arrival = _group_normalize(pihat, g.dst, n)
     first = _group_normalize(pihat, g.src, n)
 
-    edge_ids = np.arange(m)
-    lifting = sp.csr_matrix((arrival, (g.dst, edge_ids)), shape=(n, m))
-    restriction = sp.csr_matrix((np.ones(m), (edge_ids, g.dst)), shape=(m, n))
-    first_step = sp.csr_matrix((first, (g.src, edge_ids)), shape=(n, m))
-
-    prod = (lifting @ restriction).tocoo()
-    off = prod.row != prod.col
-    if off.any():
-        raise InvariantViolation("lifting @ restriction has off-diagonal entries")
-    if prod.nnz != n or np.abs(prod.data - 1.0).max() > tol.pullback_entry:
+    # lifting @ restriction is diagonal, both operators indexing edge e
+    # by its target: entry (i, i) sums the arrival weights into i
+    identity = np.bincount(g.dst, weights=arrival, minlength=n)
+    if np.count_nonzero(identity) != n or np.abs(identity - 1.0).max() > tol.pullback_entry:
         raise InvariantViolation("lifting @ restriction deviates from the identity")
 
-    P = (lifting @ chain.matrix @ restriction).tocsr()
-    P.eliminate_zeros()
+    # lifting @ P @ restriction: entry (i, k) is the weight of edge
+    # f = (i, k), summed over its predecessors e in ascending order
+    weight = np.bincount(chain.indices, minlength=m,
+                         weights=arrival[_csr_rows(chain.indptr)] * chain.data)
+    on = weight != 0
     node_pi = node_density / node_density.sum()
-    collapsed = Chain(g, P, "nodes", density=node_pi, kind=f"pullback:{chain.kind}", tol=tol)
+    collapsed = Chain(g, (weight[on], (g.src[on], g.dst[on])), "nodes", density=node_pi,
+                      kind=f"pullback:{chain.kind}", tol=tol)
 
     irr, _ = check_irreducible(chain)
     if irr:
@@ -149,10 +175,7 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
         edge_density=pihat,
         node_density=node_pi,
         arrival_weights=arrival,
-        lifting=lifting,
-        restriction=restriction,
         pullback=collapsed,
         first_transition=first,
-        first_step_matrix=first_step,
     )
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import firstorder as fo
 from ._solvers import _node_sets_steps, node_target_steps, reach_probabilities
-from .chains import _require_edge_chain, check_irreducible
+from .chains import _csr_dot, _require_edge_chain, check_irreducible
 from .config import TOL, Tolerances
 from .errors import InvariantViolation, QueryError, ReducibleChainError
 from .pullback import PullbackData
@@ -69,6 +69,13 @@ class RandomTargetData:
     spread: float            # relative spread of access times over start nodes
     condition_holds: bool    # per-node in-edge return times are constant
     access: np.ndarray       # access time per start node
+
+
+def _start_mean(pdata: PullbackData, x: np.ndarray) -> np.ndarray:
+    """``first_step_matrix @ x``: per start node, x averaged over the first
+    step, its out-edges summed in ascending edge order."""
+    g = pdata.chain.graph
+    return np.bincount(g.src, weights=pdata.first_transition * x, minlength=g.n)
 
 
 def _boundary_masks(chain, k):
@@ -126,7 +133,7 @@ def node_hitting_times(pdata: PullbackData, k, tol: Tolerances = TOL) -> np.ndar
     the first-step distribution of its out-edges.
     """
     hitting = mean_hitting_times(pdata.chain, k, tol=tol)
-    return np.asarray(pdata.first_step_matrix @ hitting.time).ravel()
+    return _start_mean(pdata, hitting.time)
 
 
 def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> float:
@@ -147,7 +154,7 @@ def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> f
     mass = float(pi[nodes].sum())
     out = np.flatnonzero(np.isin(g.src, nodes))
     w = pdata.first_transition[out] * (pi[g.src[out]] / mass)
-    value = 1.0 + float(w @ (chain.matrix @ x)[out])
+    value = 1.0 + float(w @ _csr_dot(chain, x)[out])
     expected = float(1.0 / mass)
     if abs(value - expected) > tol.return_agreement * max(1.0, expected):
         irreducible, components = check_irreducible(chain)
@@ -203,7 +210,7 @@ def hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
     T = np.empty((n, n))
     targets = _node_sets_steps(pdata.chain, [(k,) for k in range(n)], tol)
     for k, (x, _, _) in enumerate(targets):
-        T[:, k] = pdata.first_step_matrix @ x
+        T[:, k] = _start_mean(pdata, x)
     return T
 
 
@@ -259,9 +266,9 @@ def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetDat
     condition = True
     targets = _node_sets_steps(chain, [(k,) for k in range(g.n)], tol)
     for k, (x, _, _) in enumerate(targets):
-        times[:, k] = pdata.first_step_matrix @ x
+        times[:, k] = _start_mean(pdata, x)
         if condition:
-            vals = 1.0 + (chain.matrix @ (chain.matrix @ x))[g.in_edges(k)]
+            vals = 1.0 + _csr_dot(chain, _csr_dot(chain, x))[g.in_edges(k)]
             condition = bool(np.ptp(vals) <= tol.access_spread * max(1.0, vals.mean()))
     access = times @ pdata.node_density
     kappa = float(access.mean())

@@ -231,6 +231,11 @@ class TestIrreducibility:
             assert ok
 
 
+def stand_in(P):
+    """A stand-in chain over the scipy CSR matrix P: its arrays and its matrix."""
+    return types.SimpleNamespace(matrix=P, indptr=P.indptr, indices=P.indices, _components=None)
+
+
 class TestIrreducibilityAgainstNetworkx:
     """``check_irreducible``'s breadth-first verdict against networkx's
     strongly connected components; a reducible chain lists csgraph's."""
@@ -255,7 +260,7 @@ class TestIrreducibilityAgainstNetworkx:
         """A stand-in chain: a random sparse support, self-loops and empty rows allowed."""
         import scipy.sparse as sp
         P = sp.random(n, n, density=density, format="csr", random_state=rng)
-        return types.SimpleNamespace(matrix=P, _components=None)
+        return stand_in(P)
 
     def test_random_digraph_chains(self):
         rng = np.random.default_rng(5)
@@ -287,13 +292,12 @@ class TestIrreducibilityAgainstNetworkx:
 
     def test_zero_and_one_state(self):
         import scipy.sparse as sp
-        empty = types.SimpleNamespace(matrix=sp.csr_matrix((0, 0)), _components=None)
+        empty = stand_in(sp.csr_matrix((0, 0)))
         assert check_irreducible(empty) == (False, [])
         for P in (sp.csr_matrix((1, 1)), sp.csr_matrix(np.ones((1, 1)))):
-            one = types.SimpleNamespace(matrix=P, _components=None)
-            ok, comps = check_irreducible(one)
+            ok, comps = check_irreducible(stand_in(P))
             assert ok and [c.tolist() for c in comps] == [[0]]
-            self.assert_matches(types.SimpleNamespace(matrix=P, _components=None))
+            self.assert_matches(stand_in(P))
 
     def test_long_cycle(self):
         # breadth first from state 0 takes about 1,000 levels on the node
@@ -424,3 +428,162 @@ class TestValidation:
                                       [0.5, 0.0, 0.5, 0.0]]))
         with pytest.raises(ChainError, match="support|edge"):
             Chain(c4, bad, "nodes")
+
+
+# the graphs of scripts/cli_transcript.py, and seeded random cores
+PRODUCT_GRAPHS = {
+    "c4": oracles.cycle_graph(4),
+    "k4": oracles.complete_graph(4),
+    "path3": oracles.path_graph(3),
+    "bowtie": oracles.undirected(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),
+    "c4-pendant": oracles.undirected(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+    "directed": Graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]),
+    "reducible": Graph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]),
+    **{f"core{n}": oracles.random_undirected(n, 2 * n, seed)
+       for n, seed in ((12, 1), (40, 2), (100, 1))},
+}
+PRODUCT_WALKS = {
+    "uniform": uniform_edge_chain,
+    "nb": nonbacktracking_edge_chain,
+    "dw:0": lambda g: downweighted_edge_chain(g, 0.0),
+    "dw:0.3": lambda g: downweighted_edge_chain(g, 0.3),
+    "dw:1": lambda g: downweighted_edge_chain(g, 1.0),
+    "tensor": lambda g: edge_chain_from_tensor(g, oracles.random_step_weights(g, 3)),
+}
+
+
+def walk_chains():
+    """(name, chain) for every walk kind on every product graph it applies to."""
+    for name, g in PRODUCT_GRAPHS.items():
+        yield f"{name}/classical", uniform_node_chain(g)
+        for walk, make in PRODUCT_WALKS.items():
+            try:
+                yield f"{name}/{walk}", make(g)
+            except DanglingEdgeError:
+                pass
+
+
+def same_arrays(A, B) -> bool:
+    """The CSR arrays of A and B are equal, entry for entry in stored order."""
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+def wide_values(rng, shape):
+    """Random values over seven decades, so that any change of summation order shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+
+class TestArrayProducts:
+    """Products with a chain's CSR arrays equal scipy's bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_kernels(self, monkeypatch):
+        monkeypatch.setattr(chains, "_compiled", lambda work: False)
+
+    def test_chain_products_equal_scipy(self):
+        rng = np.random.default_rng(7)
+        kinds = set()
+        for name, ch in walk_chains():
+            kinds.add(name.split("/")[1])
+            P = ch.matrix
+            x = wide_values(rng, ch.n_states)
+            X = wide_values(rng, (ch.n_states, 5))
+            XL = X.astype(np.longdouble) * (1 + np.longdouble(2.0**-60))
+            wide = P.astype(np.longdouble)   # scipy sorts a chain's entries here
+            assert np.array_equal(chains._csr_dot(ch, x), P @ x), name
+            assert np.array_equal(chains._csr_dot(ch, X), P @ X), name
+            assert np.array_equal(chains._csr_tdot(ch, x), P.T @ x), name
+            assert np.array_equal(chains._row_sums(ch), np.asarray(P.sum(axis=1)).ravel()), name
+            arrays = chains._from_triplets(chains._csr_rows(ch.indptr), ch.indices,
+                                           ch.data.astype(np.longdouble), ch.shape)
+            assert same_arrays(arrays, wide), name
+            assert np.array_equal(chains._csr_dot(arrays, XL), wide @ XL), name
+        assert kinds == {"classical", *PRODUCT_WALKS}
+
+    def test_edge_residual_equals_scipy(self):
+        import scipy.sparse as sp
+        from walktimes._solvers import _node_system
+        rng = np.random.default_rng(8)
+        served = 0
+        for name, ch in walk_chains():
+            if ch.states != "edges" or _node_system(ch) is None:
+                continue
+            m = ch.n_states
+            want = sp.hstack([ch.matrix - sp.identity(m), np.ones((m, 1))], format="csr")
+            want = want.astype(np.longdouble)
+            got = _node_system(ch).residual
+            assert same_arrays(got, want), name
+            xl = np.concatenate([wide_values(rng, (m, 4)), np.ones((1, 4))], dtype=np.longdouble)
+            assert np.array_equal(chains._csr_dot(got, xl), want @ xl), name
+            assert np.array_equal(chains._csr_dot(got, xl[:, 0]), want @ xl[:, 0]), name
+            served += 1
+        assert served >= 30
+
+    def test_irregular_rows_equal_scipy(self):
+        # empty rows, long rows and a non-square shape, in stored order
+        import scipy.sparse as sp
+        rng = np.random.default_rng(9)
+        for shape, density in (((60, 45), 0.3), ((30, 30), 0.05), ((1, 8), 1.0), ((5, 0), 0.0)):
+            A = sp.random(*shape, density=density, format="csr", random_state=rng)
+            A.data = wide_values(rng, A.nnz)
+            arrays = chains._CSR(A.indptr, A.indices, A.data, A.shape)
+            for x in (wide_values(rng, shape[1]), wide_values(rng, (shape[1], 3))):
+                assert np.array_equal(chains._csr_dot(arrays, x), A @ x)
+
+    def test_pullback_views_equal_scipy(self):
+        import scipy.sparse as sp
+        from walktimes import equilibrium_pullback
+        from walktimes.secondorder import _start_mean
+        rng = np.random.default_rng(10)
+        served = 0
+        for name, ch in walk_chains():
+            if ch.states != "edges":
+                continue
+            try:
+                pdata = equilibrium_pullback(ch)
+            except ReducibleChainError:
+                continue
+            g = ch.graph
+            ids = np.arange(g.m)
+            lifting = sp.csr_matrix((pdata.arrival_weights, (g.dst, ids)), shape=(g.n, g.m))
+            restriction = sp.csr_matrix((np.ones(g.m), (ids, g.dst)), shape=(g.m, g.n))
+            first_step = sp.csr_matrix((pdata.first_transition, (g.src, ids)), shape=(g.n, g.m))
+            assert same_arrays(pdata.lifting, lifting), name
+            assert same_arrays(pdata.restriction, restriction), name
+            assert same_arrays(pdata.first_step_matrix, first_step), name
+            P = (lifting @ ch.matrix @ restriction).tocsr()
+            P.eliminate_zeros()
+            assert (pdata.pullback.matrix != P).nnz == 0, name
+            assert np.array_equal(pdata.pullback.matrix.toarray(), P.toarray()), name
+            x = wide_values(rng, g.m)
+            assert np.array_equal(_start_mean(pdata, x), first_step @ x), name
+            assert np.array_equal(pdata.restrict(x), restriction.T @ x), name
+            served += 1
+        assert served >= 30
+
+    def test_chain_accepts_scipy_dense_and_triplets(self, k4):
+        import scipy.sparse as sp
+        from walktimes.chains import Chain
+        dense = uniform_node_chain(k4).matrix.toarray()
+        rows, cols = np.nonzero(dense)
+        vals = dense[rows, cols]
+        # the first entry given twice, as two halves, and a zero on an edge
+        rows3, cols3 = np.append(rows, [rows[0], 1]), np.append(cols, [cols[0], 0])
+        vals3 = np.append(vals, [vals[0] / 2, 0.0])
+        vals3[0] /= 2
+        want = sp.csr_matrix((vals3, (rows3, cols3)), shape=(4, 4))
+        want.eliminate_zeros()
+        for given in (want.copy(), dense, (vals3, (rows3, cols3))):
+            assert same_arrays(Chain(k4, given, "nodes"), want)
+        # a scipy matrix keeps its stored order, its zeros dropped, and is not modified
+        order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(want.indptr, want.indptr[1:])])
+        stored = sp.csr_matrix((np.append(want.data[order], 0.0),
+                                np.append(want.indices[order], 3), want.indptr + [0, 0, 0, 0, 1]),
+                               shape=(4, 4))
+        before = stored.copy()
+        ch = Chain(k4, stored, "nodes")
+        kept = stored.copy()
+        kept.eliminate_zeros()
+        assert same_arrays(ch, kept) and same_arrays(stored, before)
+        assert not np.array_equal(ch.indices, want.indices)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from walktimes import read_graph
 from walktimes.cli import main
 from walktimes.errors import InvariantViolation
 
@@ -666,13 +668,22 @@ SOLVER_PACKAGES = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg"
 LOADED_SOLVERS = f"sorted(m for m in {SOLVER_PACKAGES!r} if m in sys.modules)"
 
 
-class TestStartup:
-    """info, strip and usage errors start without scipy; solvers import it.
+def core_file(tmp_path, n=100):
+    """The benchmark's n-node synthetic core (a Hamiltonian cycle and 2n
+    chords, seed 1) as an edge-list file."""
+    g = oracles.random_undirected(n, 2 * n, 1)
+    p = tmp_path / f"core{n}.edges"
+    p.write_text("".join(f"{i} {j}\n" for i, j in g.edges if i < j), encoding="utf-8")
+    return str(p)
 
-    Built-in walks on a small undirected graph take a dense node-space
-    base, whatever the query, and a numpy irreducibility test, so they
-    load no sparse factorization; ``validate`` still solves over the
-    edge states.
+
+class TestStartup:
+    """info, strip and usage errors start without scipy, and so do the
+    built-in walks on undirected graphs: their chains, pullbacks and
+    node-space queries compute on numpy arrays, and systems of up to
+    1,500 unknowns take a dense node-space base. ``validate``,
+    first-order simulation, tensor walks and directed graphs still load
+    scipy, for the sparse factorizations and the density solve.
     """
 
     @pytest.mark.parametrize("argv, exit_code", [
@@ -703,26 +714,65 @@ class TestStartup:
         ["hitting"],
         ["access"],
         ["alpha-sweep"],
+        ["return-times"],
         ["return-times", "--set", "0,1"],
         ["simulate", "--source", "0", "--target", "2", "--trials", "200"],
-    ], ids=["hitting", "access", "alpha-sweep", "return-times-set", "simulate"])
-    def test_builtin_walks_load_no_sparse_factorization(self, k4_file, argv):
+    ], ids=["hitting", "access", "alpha-sweep", "return-times", "return-times-set", "simulate"])
+    def test_builtin_walks_load_no_sparse_factorization(self, capsys, k4_file, tmp_path, argv):
+        # no scipy module at all, on K4 and on a 100-node core; the process
+        # computes in numpy, this one in scipy's kernels, to the same bytes
         child = ("import json, sys\n"
                  "from walktimes.cli import main\n"
                  "code = main(sys.argv[1:])\n"
-                 f"print(json.dumps([code, {LOADED_SOLVERS}]))")
-        done = fresh("-c", child, *argv, "--input", k4_file, "--undirected")
-        assert done.stdout.splitlines()[-1] == json.dumps([0, []]), done.stderr
+                 f"print(json.dumps([code, {LOADED_SCIPY}]))")
+        for path in (k4_file, core_file(tmp_path)):
+            args = [*argv, "--input", path, "--undirected"]
+            done = fresh("-c", child, *args)
+            *out, loaded = done.stdout.splitlines(keepends=True)
+            assert loaded == json.dumps([0, []]) + "\n", done.stderr
+            assert "".join(out) == run(capsys, *args)[1]
 
-    def test_library_setup_loads_no_sparse_factorization(self, k4_file):
+    def test_library_setup_loads_no_sparse_factorization(self, k4_file, tmp_path):
         child = ("import json, sys\n"
                  "from walktimes import (equilibrium_pullback, nonbacktracking_edge_chain,\n"
                  "                       read_graph, strip_leaves)\n"
                  "g = strip_leaves(read_graph(sys.argv[1], undirected=True)).graph\n"
                  "equilibrium_pullback(nonbacktracking_edge_chain(g))\n"
-                 f"print(json.dumps({LOADED_SOLVERS}))")
-        done = fresh("-c", child, k4_file)
-        assert done.stdout == "[]\n", done.stderr
+                 f"print(json.dumps({LOADED_SCIPY}))")
+        for path in (k4_file, core_file(tmp_path)):
+            done = fresh("-c", child, path)
+            assert done.stdout == "[]\n", done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--trials", "200", "--undirected"],
+        ["simulate", "--order", "1", "--walk", "uniform", "--source", "0", "--target", "2",
+         "--trials", "200", "--undirected"],
+        ["hitting", "--walk", "tensor:STEPS", "--undirected"],
+        ["hitting", "--walk", "uniform"],
+    ], ids=["validate", "simulate-order-1", "tensor", "directed"])
+    def test_other_routes_load_scipy(self, tmp_path, argv):
+        # validate and first-order simulation factor sparse systems, a
+        # tensor walk (here the classical one) has no node-space form, and
+        # the walk on a directed graph solves for its density
+        if "--undirected" not in argv:
+            path = tmp_path / "digraph.edges"
+            path.write_text("".join(f"{i} {j}\n" for i, j in oracles.random_digraph(12, 12, 1).edges),
+                            encoding="utf-8")
+        else:
+            path = core_file(tmp_path, 12)
+            g = read_graph(path, undirected=True)
+            steps = tmp_path / "core12.steps"
+            steps.write_text("".join(f"{g.labels[i]} {g.labels[j]} {g.labels[k]} "
+                                     f"{1 / int(g.out_degree[j])!r}\n"
+                                     for i, j in g.edges for k in g.dst[g.out_edges(j)]),
+                             encoding="utf-8")
+            argv = [a.replace("STEPS", str(steps)) for a in argv]
+        child = ("import json, sys\n"
+                 "from walktimes.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 f"print(json.dumps([code, 'scipy.sparse' in {LOADED_SCIPY}]))")
+        done = fresh("-c", child, *argv, "--input", str(path))
+        assert done.stdout.splitlines()[-1] == json.dumps([0, True]), done.stderr
 
     def test_validate_still_loads_them(self, k4_file, c4_file):
         child = ("import json, sys\n"

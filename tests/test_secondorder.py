@@ -610,9 +610,11 @@ class TestNodeSpaceRoute:
                 assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_few_sets_keep_the_sparse_base(self, monkeypatch):
-        # 300 unknowns: one target set, or a few, takes the sparse LU of
-        # the base; a call over every node forms the dense inverse, which
-        # then serves the later single sets too
+        # 300 unknowns, above a size floor lowered to 128: one target set,
+        # or a few, takes the sparse LU of the base; a call over every node
+        # forms the dense inverse, which then serves the later single sets too
+        import walktimes._solvers as solvers
+        monkeypatch.setattr(solvers, "_DENSE_SIZE", 128)
         g = oracles.random_undirected(300, 600, 3)
         ch = nonbacktracking_edge_chain(g)
         pdata = pullback_of(ch)
@@ -840,3 +842,41 @@ class TestTargetWithoutInEdges:
         expect = [0.0, np.inf, np.inf]
         assert secondorder.mean_hitting_times(ch, 0).time.tolist() == expect
         assert secondorder.mean_hitting_times_via_line_graph(ch, 0).tolist() == expect
+
+
+class TestKernelPaths:
+    def test_numpy_and_compiled_kernels_agree(self, petersen, monkeypatch):
+        """Every query gives the same bits whether its sparse products run
+        in numpy or in scipy's compiled kernels, on either node-space base."""
+        import walktimes._solvers as solvers
+        import walktimes.chains as chains
+        from walktimes import firstorder
+        bowtie = oracles.undirected(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        graphs = [petersen, bowtie, oracles.random_undirected(60, 90, 2),
+                  oracles.random_digraph(20, 30, 3)]
+
+        def queries(compiled, budget):
+            monkeypatch.setattr(chains, "_compiled", lambda work: compiled)
+            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+            out = []
+            for g in graphs:
+                walks = [uniform_edge_chain(g), random_tensor_chain(g, 4)]
+                if not dangling_edges(g):
+                    walks += [nonbacktracking_edge_chain(g), downweighted_edge_chain(g, 0.3)]
+                for ch in walks:
+                    pdata = pullback_of(ch)
+                    access = secondorder.random_target(pdata)
+                    out += [secondorder.hitting_matrix(pdata), access.access,
+                            np.array([access.kappa, access.spread, access.condition_holds]),
+                            secondorder.return_times(pdata, range(g.n)).per_state,
+                            secondorder.node_hitting_times(pdata, g.n - 1),
+                            secondorder.return_times(pdata, [0, g.n // 2, g.n - 1]).per_state,
+                            pdata.pullback.matrix.toarray()]
+                out.append(firstorder.hitting_matrix(uniform_node_chain(g)).matrix)
+            return out
+
+        for budget in budgets():
+            numpy_side, compiled_side = queries(False, budget), queries(True, budget)
+            assert len(numpy_side) == len(compiled_side) > 50
+            for a, b in zip(numpy_side, compiled_side):
+                assert a.tobytes() == b.tobytes()
