@@ -58,13 +58,14 @@ of a base node k0 of least in-degree, each unknown k0 drops held at
 zero by a unit row. A call that solves many target sets, or any call
 on a small system, inverts it once; G = B0^-1 is the fundamental
 matrix of the walk absorbed at k0 (Kemeny and Snell, 1960). Other
-calls, and systems whose inverse would not fit ``_DENSE_BYTES``
-(N > 2,896 unknowns), take one sparse LU of B0. Another set S changes
-only the rows R of S and k0, of the forced-pair unknowns they drop,
-and of the tails of the in-edges of S and k0, whose diagonals gain or
-lose pair terms. Woodbury's identity (Hager, SIAM Review 31, 1989)
-turns those rows into the columns R of G, or |R| sparse base solves,
-and one dense |R| x |R| solve. On the sparse route a set with |R|
+calls, and systems whose inverse would not fit the dense byte budget
+(``config._dense_fits``: N > 8,192 unknowns), take one sparse LU of
+B0. Another set S changes only the rows R of S and k0, of the
+forced-pair unknowns they drop, and of the tails of the in-edges of
+S and k0, whose diagonals gain or lose pair terms. Woodbury's
+identity (Hager, SIAM Review 31, 1989) turns those rows into the
+columns R of G, or |R| sparse base solves, and one dense |R| x |R|
+solve. On the sparse route a set with |R|
 above 64 + N/16 factors its own reduced system instead, which is then
 the cheaper route. With G, a set's first right-hand side differs from
 that of the empty set only near S, so its base solution is a cached
@@ -92,7 +93,7 @@ from .chains import (
     _scipy_csr,
     check_irreducible,
 )
-from .config import TOL, Tolerances
+from .config import TOL, Tolerances, _dense_fits
 from .errors import ConvergenceError
 from .graph import _reached, _reversals
 
@@ -102,13 +103,12 @@ __all__ = ["reach_probabilities", "expected_steps", "chain_steps", "node_target_
 # edge unknowns: eliminating it would amplify roundoff by 1/det
 _PAIR_PIVOT = 2.0**-10
 # the node-space base is inverted densely only while the inverse and
-# the three more arrays of its size that forming it holds, in float64,
-# fit this many bytes (N <= 2,896 unknowns); a larger one keeps the
-# sparse LU of its base system
-_DENSE_BYTES = 2**28
-# within that budget, a system of at most this many unknowns is always
-# inverted: the sparse route loads scipy.sparse and its factorization
-# (0.19-0.26 s per process). As fresh processes, return-times --set on
+# the three more N x N float64 arrays that np.linalg.inv holds while
+# forming it fit the dense byte budget (N <= 8,192 unknowns); a larger
+# one keeps the sparse LU of its base system. Within the budget, a
+# system of at most this many unknowns is always inverted: the sparse
+# route loads scipy.sparse and its factorization (0.19-0.26 s per
+# process). As fresh processes, return-times --set on
 # nb walks of synthetic cores took 0.33 s dense against 0.50 s sparse at
 # 900 unknowns, 0.44 against 0.53 at 1,200, 0.65 against 0.68 at 1,500
 # and 0.84 against 0.68 at 1,800, with one BLAS thread
@@ -354,7 +354,7 @@ def _factor_base(ns: _NodeSystem, sets: int) -> bool:
     """Make ``ns.base`` serve a call that solves ``sets`` target sets;
     False when B0 is singular.
 
-    Within ``_DENSE_BYTES``, a system of at most ``_DENSE_SIZE``
+    Within the dense byte budget, a system of at most ``_DENSE_SIZE``
     unknowns, or a call of at least one set per ``_DENSE_SETS``
     unknowns, forms the dense inverse: its O(N^3) cost pays off over
     many sets, whose base solves become products. Any other call takes
@@ -364,7 +364,7 @@ def _factor_base(ns: _NodeSystem, sets: int) -> bool:
     size = ns.base_pinned.size
     if isinstance(ns.base, np.ndarray):
         return True
-    if (4 * size**2 * 8 <= _DENSE_BYTES
+    if (_dense_fits(4 * size * size * 8)
             and (size <= _DENSE_SIZE or sets * _DENSE_SETS >= size)):
         vals, (rows, cols) = ns.base_entries
         BT = np.zeros((size, size))
@@ -618,16 +618,17 @@ def node_target_steps(chain, S, tol: Tolerances = TOL):
 def _node_sets_steps(chain, sets, tol: Tolerances = TOL):
     """``node_target_steps`` for each node set in ``sets``, in turn.
 
-    The sets are solved together in blocks; the digits of a set do not
-    depend on the other sets in its block. How many sets the call
-    solves picks the node-space base (``_factor_base``).
+    The sets are solved together in blocks, each with its own node
+    masks; the digits of a set do not depend on the other sets in its
+    block. How many sets the call solves picks the node-space base
+    (``_factor_base``).
     """
     g = chain.graph
-    in_S = np.zeros((g.n, len(sets)), dtype=bool)
-    for c, S in enumerate(sets):
-        in_S[np.asarray(S, dtype=np.int64), c] = True
     for i in range(0, len(sets), _BLOCK):
-        block = in_S[:, i:i + _BLOCK]
+        chunk = sets[i:i + _BLOCK]
+        block = np.zeros((g.n, len(chunk)), dtype=bool)
+        for c, S in enumerate(chunk):
+            block[np.asarray(S, dtype=np.int64), c] = True
         served = np.zeros(block.shape[1], dtype=bool)
         if check_irreducible(chain)[0]:
             x, served = _node_space_steps(chain, block, len(sets), tol)

@@ -189,14 +189,16 @@ def cmd_hitting(args) -> int:
 
     g, pdata = _walk(args)
     nodes = range(g.n) if args.target is None else [g.label_id(args.target)]
+    # the classical matrix first: one over the dense byte budget stops
+    # the command before the second-order solve
+    classical_T = fo.hitting_matrix(uniform_node_chain(g)).matrix
+    mc = classical_T.mean(axis=0)
     if args.target is None or args.full:
         walk_T = so.hitting_matrix(pdata)
         mw = walk_T.mean(axis=0)
     else:
         # one column, summed in row order as T.mean(axis=0) sums it
         mw = {j: np.cumsum(so.node_hitting_times(pdata, j))[-1] / g.n for j in nodes}
-    classical_T = fo.hitting_matrix(uniform_node_chain(g)).matrix
-    mc = classical_T.mean(axis=0)
     rows = []
     for j in nodes:
         rows.append([
@@ -348,6 +350,7 @@ def _max_diff_with_inf(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_validate(args) -> int:
     from . import secondorder as so
+    from ._solvers import _node_sets_steps
     from .chains import _residual, check_irreducible
     from .montecarlo import simulate_so_hitting
     from .pullback import equilibrium_pullback
@@ -369,10 +372,11 @@ def cmd_validate(args) -> int:
         record("SKIP", "equilibrium-checks",
                f"chain is reducible ({len(comps)} components, sizes {sizes})")
 
-    # direct boundary-case solve against the line-graph route, all targets
+    # direct boundary-case solve against the line-graph route, all
+    # targets in one call, as so.hitting_matrix solves them
     worst = 0.0
-    for k in range(g.n):
-        direct = so.mean_hitting_times(chain, k).time
+    targets = _node_sets_steps(chain, [(k,) for k in range(g.n)])
+    for k, (direct, _, _) in enumerate(targets):
         via = so.mean_hitting_times_via_line_graph(chain, k)
         worst = max(worst, _max_diff_with_inf(direct, via))
     if worst <= TOL.equivalence:

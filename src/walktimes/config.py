@@ -3,11 +3,20 @@
 All identity checks compare against these constants so that every
 tolerance lives in one place. Functions take an optional ``tol``
 argument; the module-level ``TOL`` is the default everywhere.
+
+Dense memory has one cap, in bytes: ``_dense_fits`` holds every dense
+array sized by a product of two problem sizes (states, nodes, walks),
+with the transients that forming it holds, to ``_DENSE_BUDGET``. Over
+it the node-space base takes its sparse LU instead of its dense
+inverse; every other caller raises ``SizeCapError`` before it
+allocates anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import SizeCapError
 
 
 @dataclass(frozen=True)
@@ -37,11 +46,27 @@ class Tolerances:
     pullback_entry: float = 1e-12       # pullback chain entries
 
     # size caps
-    dense_edge_cap: int = 20_000        # refuse dense edge-by-edge matrices above
     simulation_step_cap: int = 1_000_000
 
 
 TOL = Tolerances()
+
+# bytes of dense arrays one computation may hold at its peak: about a
+# third of a 7 GB machine, so the guard fires before the machine runs
+# out of memory
+_DENSE_BUDGET = 2**31
+
+
+def _dense_fits(nbytes: int, what: str | None = None) -> bool:
+    """True when ``nbytes`` of dense arrays fit ``_DENSE_BUDGET``. With
+    ``what``, the arrays being formed, a larger need raises
+    ``SizeCapError`` instead."""
+    if nbytes <= _DENSE_BUDGET:
+        return True
+    if what is None:
+        return False
+    raise SizeCapError(f"{what} needs {nbytes:,} bytes of dense arrays, "
+                       f"over the budget of {_DENSE_BUDGET:,} bytes")
 
 # number of significant digits in user-facing numeric output
 OUTPUT_DIGITS = 12

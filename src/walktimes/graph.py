@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _dense_fits
 from .errors import GraphFormatError, GraphStructureError
 
 __all__ = [
@@ -436,11 +437,14 @@ def diameter(g: Graph) -> int:
     holds, one bit per node, the nodes within d steps of i. Each level
     ORs into every row the rows of its out-neighbours, so a level costs
     O(m * n / 64) word operations and the rows take n**2 / 8 bytes.
+    A level holds four arrays of n rows and the gather of m rows, which
+    must fit the dense byte budget.
     """
     n = g.n
     if n <= 1:
         return 0
     words = -(-n // 64)
+    _dense_fits((4 * n + g.m) * words * 8, f"the diameter search over {n} nodes")
     reach = np.zeros((n, words), dtype=np.uint64)
     nodes = np.arange(n)
     reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
@@ -467,8 +471,10 @@ def _reached(ptr: np.ndarray, nbrs: np.ndarray, start: np.ndarray,
     """Mask of the states reached from the states in the mask ``start``,
     the successors of state i being ``nbrs[ptr[i]:ptr[i + 1]]``, by
     paths that enter no state of the mask ``stop`` (disjoint from
-    ``start``): breadth first, one pass per level."""
+    ``start``): breadth first, one pass per level, in time linear in
+    the level's successors."""
     seen = start.copy() if stop is None else start | stop
+    slot = np.empty(seen.size, dtype=np.int64)
     frontier = np.flatnonzero(start)
     while frontier.size:
         starts = ptr[frontier]
@@ -476,7 +482,12 @@ def _reached(ptr: np.ndarray, nbrs: np.ndarray, start: np.ndarray,
         # the positions in nbrs of the frontier's successors
         pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         found = nbrs[pos]
-        frontier = np.unique(found[~seen[found]])
+        found = found[~seen[found]]
+        # each new state once, without sorting: the one occurrence whose
+        # position its slot kept
+        at = np.arange(found.size)
+        slot[found] = at
+        frontier = found[slot[found] == at]
         seen[frontier] = True
     return seen if stop is None else seen & ~stop
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, _dense_fits
 from .errors import ChainError, QueryError
 from .firstorder import _target_mask
 from .secondorder import _check_node
@@ -245,7 +245,8 @@ def simulate_so_sweep(pdata, source, trials, seed,
     return to the source, running until all are observed or the cap
     bites. Returns (per-target WalkStats array indexed by node, return
     WalkStats). Cheaper than one run per target when all targets are
-    wanted. The cap is at most ``SWEEP_CAP``.
+    wanted. The cap is at most ``SWEEP_CAP``, and a block's tallies
+    must fit the dense byte budget.
     """
     chain = pdata.chain
     source = _check_node(chain, source)
@@ -253,13 +254,16 @@ def simulate_so_sweep(pdata, source, trials, seed,
         raise QueryError(f"sweep step cap {cap} exceeds {SWEEP_CAP}")
     n = chain.graph.n
     start = _first_edges(pdata, source)
+    # a block's int64 visit times and the bool mask that counting them holds
+    blocks = _block_sizes(trials)
+    _dense_fits(9 * blocks[0] * (n + 1), f"the visit times of {blocks[0]} walks to {n} nodes")
     sampler = _sampler(chain)
     # column of the node each edge enters; entering the source fills
     # the extra column n, which holds the first return
     dst = chain.graph.dst
     column = np.where(dst == source, n, dst)
     sums = np.zeros((4, n + 1), dtype=object)   # Python ints
-    for b, nb in enumerate(_block_sizes(trials)):
+    for b, nb in enumerate(blocks):
         rng = _block_rng(seed, b)
         # first visit times, 0 until seen: no walk writes the source's
         # column, whose visits are all at time 0

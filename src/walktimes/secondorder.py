@@ -37,7 +37,7 @@ import numpy as np
 from . import firstorder as fo
 from ._solvers import _node_sets_steps, node_target_steps, reach_probabilities
 from .chains import _csr_dot, _require_edge_chain, check_irreducible
-from .config import TOL, Tolerances
+from .config import TOL, Tolerances, _dense_fits
 from .errors import InvariantViolation, QueryError, ReducibleChainError
 from .pullback import PullbackData
 
@@ -207,6 +207,7 @@ def hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
     steps (``node_hitting_times``); the diagonal is exactly zero.
     """
     n = pdata.chain.graph.n
+    _dense_fits(n * n * 8, f"the hitting matrix of {n} nodes")
     T = np.empty((n, n))
     targets = _node_sets_steps(pdata.chain, [(k,) for k in range(n)], tol)
     for k, (x, _, _) in enumerate(targets):
@@ -221,7 +222,10 @@ def lifted_hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndar
     operators: scale each column by the edge's return weight to the
     in-edge set of its target node, collapse, and subtract per-target
     offsets. The result must agree with ``hitting_matrix`` within
-    tolerance, and is returned.
+    tolerance, and is returned. Its largest arrays are those that form
+    the edge time matrix, 9 m^2 (``fo.hitting_matrix``, whose byte
+    budget check comes first); what it holds after that, that matrix,
+    its scaled copy and their n x m product, is smaller.
     """
     chain = pdata.chain
     g = chain.graph
@@ -262,6 +266,7 @@ def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetDat
     """
     chain = pdata.chain
     g = chain.graph
+    _dense_fits(g.n * g.n * 8, f"the access times of {g.n} nodes to each target")
     times = np.empty((g.n, g.n))
     condition = True
     targets = _node_sets_steps(chain, [(k,) for k in range(g.n)], tol)

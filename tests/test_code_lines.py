@@ -45,7 +45,7 @@ def test_package_option_counts(capsys):
     assert code_lines.main([]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[-2].split() == ["walktimes.__all__", "names", "54"]
-    assert rows[-1].split() == ["Tolerances", "fields", "20"]
+    assert rows[-1].split() == ["Tolerances", "fields", "19"]
 
 
 def test_plain_directory_has_no_option_counts(tmp_path):

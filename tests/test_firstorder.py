@@ -23,7 +23,6 @@ from walktimes import (
     uniform_edge_chain,
     uniform_node_chain,
 )
-from walktimes import firstorder
 from walktimes.config import TOL
 
 
@@ -209,8 +208,8 @@ class TestHittingMatrix:
             assert np.array_equal(np.diag(T), np.zeros(ch.n_states))
 
     def test_no_factorization_on_irreducible_chain(self, petersen, monkeypatch):
-        # one dense fundamental matrix per chain, whatever the node-space
-        # byte budget: the time matrix takes no node-space base
+        # one dense fundamental matrix per chain: the time matrix takes no
+        # node-space base
         import walktimes._solvers as solvers
 
         def refuse(*args, **kwargs):
@@ -219,13 +218,11 @@ class TestHittingMatrix:
         inverses = []
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda A: inverses.append(A.shape[0]) or real(A))
-        for budget in (solvers._DENSE_BYTES, 0):
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
-            for ch in (uniform_node_chain(petersen), nonbacktracking_edge_chain(petersen)):
-                inverses.clear()
-                tm = hitting_matrix(ch)
-                assert tm.kappa_spread <= 1e-8
-                assert inverses == [ch.n_states]
+        for ch in (uniform_node_chain(petersen), nonbacktracking_edge_chain(petersen)):
+            inverses.clear()
+            tm = hitting_matrix(ch)
+            assert tm.kappa_spread <= 1e-8
+            assert inverses == [ch.n_states]
 
     def test_exact_density_at_2000_nodes(self):
         # a solved density off deg / 2E by about 1e-11 relative breaks the
@@ -246,11 +243,25 @@ class TestHittingMatrix:
             with pytest.raises(InvariantViolation, match=message):
                 hitting_matrix(ch, tol=strict)
 
-    def test_size_cap(self, k33, monkeypatch):
-        small = dataclasses.replace(TOL, dense_edge_cap=3)
-        monkeypatch.setattr(firstorder, "TOL", small)
-        with pytest.raises(SizeCapError, match="cap"):
-            hitting_matrix(uniform_node_chain(k33), tol=small)
+    def test_size_cap(self, k33, petersen, monkeypatch):
+        # 9 n^2 float64 arrays at the peak: at that budget the matrix
+        # forms, one byte under it the call stops before any solve or
+        # dense array
+        import walktimes._solvers as solvers
+        from walktimes import config
+        for ch in (uniform_node_chain(k33), nonbacktracking_edge_chain(petersen)):
+            need = 9 * ch.n_states**2 * 8
+            monkeypatch.setattr(config, "_DENSE_BUDGET", need)
+            assert hitting_matrix(ch).kappa_spread <= 1e-8
+            monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
+            for owner, name in ((solvers, "splu"), (np.linalg, "inv"), (np, "eye")):
+                monkeypatch.setattr(owner, name, None)
+            with pytest.raises(SizeCapError) as err:
+                hitting_matrix(ch)
+            assert str(err.value) == (
+                f"the time matrix of {ch.n_states} states needs {need:,} bytes of "
+                f"dense arrays, over the budget of {need - 1:,} bytes")
+            monkeypatch.undo()
 
 
 class TestSubsetDecomposition:

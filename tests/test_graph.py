@@ -10,6 +10,7 @@ from walktimes import (
     Graph,
     GraphFormatError,
     GraphStructureError,
+    SizeCapError,
     dangling_edges,
     diameter,
     is_strongly_connected,
@@ -336,6 +337,20 @@ class TestDiameter:
                 assert diameter(g) == oracles.diameter_oracle(g)
         for g in (oracles.path_graph(200), oracles.cycle_graph(200)):
             assert diameter(g) == oracles.diameter_oracle(g)
+
+    def test_search_within_the_dense_budget(self, petersen, monkeypatch):
+        # four arrays of n bit rows and the gather of m rows, one 64-bit
+        # word each: one byte over the budget, no search runs
+        from walktimes import config
+        need = (4 * 10 + 30) * 8
+        monkeypatch.setattr(config, "_DENSE_BUDGET", need)
+        assert diameter(petersen) == 2
+        monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
+        monkeypatch.setattr(np, "zeros", None)
+        with pytest.raises(SizeCapError, match=f"^the diameter search over 10 nodes needs "
+                                               f"{need} bytes of dense arrays, over the "
+                                               f"budget of {need - 1} bytes$"):
+            diameter(petersen)
 
     def test_disconnected_raises(self):
         for g in (Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)], undirected=True),

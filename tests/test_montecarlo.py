@@ -10,6 +10,7 @@ import pytest
 import oracles
 from walktimes import (
     QueryError,
+    SizeCapError,
     WalkStats,
     WalkTimesError,
     downweighted_edge_chain,
@@ -548,6 +549,25 @@ class TestTally:
         assert ret.censored == 0 and ret == simulate_so_sweep(pdata, 0, 500, seed=2)[1]
         with pytest.raises(QueryError, match="sweep step cap 33554432 exceeds 33554431"):
             simulate_so_sweep(pdata, 0, 500, seed=2, cap=2**25)
+
+    def test_sweep_tallies_within_the_dense_budget(self, k33, monkeypatch):
+        """A block's int64 visit times and the mask that counts them, 9
+        bytes per walk and column: one byte over the budget, the sweep
+        stops before its sampler or tallies exist."""
+        from walktimes import config
+        from walktimes.montecarlo import BLOCK
+        for trials, rows in ((300, 300), (BLOCK + 1, BLOCK)):
+            need = 9 * rows * (k33.n + 1)
+            monkeypatch.setattr(config, "_DENSE_BUDGET", need)
+            pdata = equilibrium_pullback(uniform_edge_chain(k33))
+            per, ret = simulate_so_sweep(pdata, 0, trials, seed=2)
+            assert ret.trials + ret.censored == trials
+            monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
+            pdata = equilibrium_pullback(uniform_edge_chain(k33))
+            with pytest.raises(SizeCapError, match=f"^the visit times of {rows} walks to 6 "
+                                                   f"nodes needs {need:,} bytes of dense"):
+                simulate_so_sweep(pdata, 0, trials, seed=2)
+            assert pdata.chain._sampler is None
 
 
 class TestSharedSampler:

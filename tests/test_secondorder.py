@@ -22,7 +22,7 @@ from walktimes import (
     uniform_edge_chain,
     uniform_node_chain,
 )
-from walktimes import secondorder
+from walktimes import config, secondorder
 from walktimes._solvers import (
     _node_sets_steps,
     _node_system,
@@ -299,15 +299,22 @@ class TestSecondOrderHittingMatrix:
         assert np.abs(secondorder.hitting_matrix(pdata) - lifted).max() <= 1e-8
 
     def test_size_cap_on_lifted_route(self, petersen, monkeypatch):
-        small = dataclasses.replace(TOL, dense_edge_cap=10)
+        # the edge time matrix's 9 m^2 float64 arrays are the route's
+        # peak: one byte under them it stops before any solve or inverse,
+        # while the node-space matrix, its base included, still fits
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        calls = count_splu(monkeypatch)
-        with pytest.raises(SizeCapError):
-            secondorder.lifted_hitting_matrix(pdata, tol=small)
-        assert calls == []   # the cap fires before any node solve
-        # hitting_matrix ignores the cap on edges
-        assert secondorder.hitting_matrix(pdata, tol=small).shape == (10, 10)
+        need = 9 * ch.n_states**2 * 8
+        monkeypatch.setattr(config, "_DENSE_BUDGET", need)
+        assert secondorder.lifted_hitting_matrix(pdata).shape == (10, 10)
+        monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
+        pdata = pullback_of(nonbacktracking_edge_chain(petersen))
+        calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+        with pytest.raises(SizeCapError, match="^the time matrix of 30 states needs "):
+            secondorder.lifted_hitting_matrix(pdata)
+        assert (dense, calls) == ([], [])
+        assert secondorder.hitting_matrix(pdata).shape == (10, 10)
+        assert (dense, calls) == ([petersen.n], [])
 
 
 class TestRandomTarget:
@@ -374,10 +381,18 @@ def count_inverses(monkeypatch):
     return calls
 
 
-def budgets():
-    """The node-space base's byte budget, then none: the sparse LU route."""
-    import walktimes._solvers as solvers
-    return solvers._DENSE_BYTES, 0
+SHIPPED_BUDGET = config._DENSE_BUDGET
+
+
+def budgets(*graphs):
+    """(inverted, budget) pairs: the dense byte budget as shipped, which
+    inverts the node-space base, then the sparse LU route. That budget
+    holds the graphs' n x n results but no base's 4 N^2 float64
+    arrays (N >= n); without graphs it is 0, for calls that form no
+    n x n array."""
+    low = 8 * max((g.n for g in graphs), default=0) ** 2
+    assert all(low < 32 * g.n**2 for g in graphs)
+    return (True, SHIPPED_BUDGET), (False, low)
 
 
 class TestReachSolveOnlyOnReducibleChains:
@@ -402,29 +417,30 @@ class TestReachSolveOnlyOnReducibleChains:
     def test_one_factorization_per_chain(self, petersen, monkeypatch):
         # the base system, at full size: one dense inverse within the
         # byte budget, one sparse LU above it
-        import walktimes._solvers as solvers
-        for budget in budgets():
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+        for inverted, budget in budgets(petersen):
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             pdata = pullback_of(nonbacktracking_edge_chain(petersen))
             calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
             secondorder.hitting_matrix(pdata)
-            assert (dense, calls) == (([petersen.n], []) if budget else ([], [petersen.n]))
+            assert (dense, calls) == (([petersen.n], []) if inverted else ([], [petersen.n]))
 
     def test_one_factorization_at_scale(self, monkeypatch):
         # a 600-node, 1,800-edge core: one LU per target would be 1,200
-        import walktimes._solvers as solvers
         g = oracles.random_undirected(600, 1200, 2)
         assert g.m == 3600
-        for budget in budgets():
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+        for inverted, budget in budgets(g):
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
             T = secondorder.hitting_matrix(pullback_of(nonbacktracking_edge_chain(g)))
-            base = ([g.n], []) if budget else ([], [g.n])
-            assert (dense, calls) == base and np.all(np.isfinite(T))
-            # the classical matrix takes one dense fundamental matrix
-            classical = hitting_matrix(uniform_node_chain(g))
-            assert (dense, calls) == (base[0] + [g.n], base[1])
-            assert classical.kappa_spread <= 1e-8
+            assert (dense, calls) == (([g.n], []) if inverted else ([], [g.n]))
+            assert np.all(np.isfinite(T))
+        # the classical matrix takes one dense fundamental matrix, whose
+        # 9 n^2 arrays the sparse route's budget does not hold
+        with pytest.raises(SizeCapError):
+            hitting_matrix(uniform_node_chain(g))
+        monkeypatch.setattr(config, "_DENSE_BUDGET", SHIPPED_BUDGET)
+        classical = hitting_matrix(uniform_node_chain(g))
+        assert (dense, calls) == ([g.n], [g.n]) and classical.kappa_spread <= 1e-8
 
     def test_reducible_chains_take_reach_path(self, c3, c4, monkeypatch):
         for g in (c3, c4):
@@ -592,12 +608,11 @@ class TestNodeSpaceRoute:
         # the chain, and that set too is a Woodbury correction of it; on
         # the sparse route it is past the Woodbury limit and factors its
         # own reduced system
-        import walktimes._solvers as solvers
         g = oracles.random_undirected(120, 240, 1)
-        for budget in budgets():
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+        for inverted, budget in budgets(g):
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             ch = nonbacktracking_edge_chain(g)
-            formed = ((([g.n], []), ([], [])) if budget else
+            formed = ((([g.n], []), ([], [])) if inverted else
                       (([], [g.n]), ([], [g.n // 2])))
             for S, want_formed in zip(([7], np.arange(0, g.n, 2)), formed):
                 calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
@@ -644,8 +659,8 @@ class TestNodeSpaceRoute:
         # take chain_steps, at the default tolerance
         strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
         node_space = solvers._node_space_steps
-        for budget in budgets():
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+        for _, budget in budgets():
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             big = oracles.random_undirected(120, 240, 1)
             chains = [nonbacktracking_edge_chain(big), downweighted_edge_chain(petersen, 0.3),
                       uniform_edge_chain(oracles.path_graph(3)), random_tensor_chain(petersen, 5),
@@ -676,10 +691,11 @@ class TestNodeSpaceRoute:
                 return real(A, *args, **kwargs)
             return factor
 
-        for budget, owner, name, error in (
-                (solvers._DENSE_BYTES, np.linalg, "inv", np.linalg.LinAlgError("Singular matrix")),
-                (0, solvers, "splu", RuntimeError("Factor is exactly singular"))):
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+        errors = (np.linalg.LinAlgError("Singular matrix"),
+                  RuntimeError("Factor is exactly singular"))
+        for (_, budget), owner, name, error in zip(
+                budgets(), (np.linalg, solvers), ("inv", "splu"), errors):
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             real = getattr(owner, name)
             for ch in (nonbacktracking_edge_chain(petersen), uniform_edge_chain(petersen)):
                 failed.clear()
@@ -817,10 +833,9 @@ class TestEdgeChainReturnCrossCheck:
         assert verdicts == {True, False}
 
     def test_node_queries_factor_no_edge_system(self, k33, petersen, monkeypatch):
-        import walktimes._solvers as solvers
         calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
-        for budget in budgets():
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
+        for inverted, budget in budgets(k33, petersen):
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             for g in (k33, petersen):
                 for ch in (uniform_edge_chain(g), nonbacktracking_edge_chain(g),
                            downweighted_edge_chain(g, 0.3)):
@@ -831,7 +846,7 @@ class TestEdgeChainReturnCrossCheck:
                     # one full-size base, a dense inverse or above the byte
                     # budget a sparse LU, serves the three nodes, the set
                     # and every target; none is over edges
-                    assert (dense, calls) == (([g.n], []) if budget else ([], [g.n]))
+                    assert (dense, calls) == (([g.n], []) if inverted else ([], [g.n]))
 
 
 class TestTargetWithoutInEdges:
@@ -848,18 +863,18 @@ class TestKernelPaths:
     def test_numpy_and_compiled_kernels_agree(self, petersen, monkeypatch):
         """Every query gives the same bits whether its sparse products run
         in numpy or in scipy's compiled kernels, on either node-space base."""
-        import walktimes._solvers as solvers
         import walktimes.chains as chains
         from walktimes import firstorder
         bowtie = oracles.undirected(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         graphs = [petersen, bowtie, oracles.random_undirected(60, 90, 2),
                   oracles.random_digraph(20, 30, 3)]
 
-        def queries(compiled, budget):
+        def queries(compiled, side):
             monkeypatch.setattr(chains, "_compiled", lambda work: compiled)
-            monkeypatch.setattr(solvers, "_DENSE_BYTES", budget)
             out = []
             for g in graphs:
+                inverted, budget = budgets(g)[side]
+                monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
                 walks = [uniform_edge_chain(g), random_tensor_chain(g, 4)]
                 if not dangling_edges(g):
                     walks += [nonbacktracking_edge_chain(g), downweighted_edge_chain(g, 0.3)]
@@ -872,11 +887,67 @@ class TestKernelPaths:
                             secondorder.node_hitting_times(pdata, g.n - 1),
                             secondorder.return_times(pdata, [0, g.n // 2, g.n - 1]).per_state,
                             pdata.pullback.matrix.toarray()]
-                out.append(firstorder.hitting_matrix(uniform_node_chain(g)).matrix)
+                if inverted:   # the sparse route's budget holds no classical matrix
+                    out.append(firstorder.hitting_matrix(uniform_node_chain(g)).matrix)
             return out
 
-        for budget in budgets():
-            numpy_side, compiled_side = queries(False, budget), queries(True, budget)
+        for side in (0, 1):
+            numpy_side, compiled_side = queries(False, side), queries(True, side)
             assert len(numpy_side) == len(compiled_side) > 50
             for a, b in zip(numpy_side, compiled_side):
                 assert a.tobytes() == b.tobytes()
+
+
+class TestDenseByteBudget:
+    """One byte budget: the node-space base's route, and refusals of
+    n x n results before any solve."""
+
+    def test_base_inverted_up_to_the_budget(self, petersen, monkeypatch):
+        # 10 unknowns: the inverse and three more arrays of its size
+        need = 4 * petersen.n**2 * 8
+        for budget, want in ((need, ([petersen.n], [])), (need - 1, ([], [petersen.n]))):
+            monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
+            pdata = pullback_of(nonbacktracking_edge_chain(petersen))
+            calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+            T = secondorder.hitting_matrix(pdata)
+            assert (dense, calls) == want and np.all(np.isfinite(T))
+
+    def test_base_route_as_before_up_to_2896_unknowns(self, monkeypatch):
+        # the rule this budget replaced: dense while 4 N^2 float64 arrays
+        # fit 2**28 bytes, for a small system or one set per 20 unknowns
+        import types
+        import walktimes._solvers as solvers
+        monkeypatch.setattr(np.linalg, "inv", lambda A: A)
+        monkeypatch.setattr(solvers, "splu", lambda A, **kwargs: "lu")
+
+        def route(size, sets):
+            ns = types.SimpleNamespace(
+                base=None, base_pinned=np.zeros(size, dtype=bool), rhs0=np.ones(size),
+                base_entries=(np.ones(size), (np.arange(size), np.arange(size))))
+            assert solvers._factor_base(ns, sets)
+            return isinstance(ns.base, np.ndarray)
+
+        for size in (1, 100, 1500, 1501, 2000, 2895, 2896):
+            for sets in (1, 19, 20, 75, 76, 100, 145, size):
+                old = 4 * size**2 * 8 <= 2**28 and (size <= 1500 or sets * 20 >= size)
+                assert route(size, sets) == old, (size, sets)
+        # past it, many sets still invert the base, up to 8,192 unknowns
+        assert route(2897, 2897) and not route(2897, 144)
+        assert not route(8193, 8193)
+
+    def test_node_matrices_refused_before_any_solve(self, petersen, monkeypatch):
+        need = 8 * petersen.n**2
+        monkeypatch.setattr(config, "_DENSE_BUDGET", need)
+        pdata = pullback_of(nonbacktracking_edge_chain(petersen))
+        assert secondorder.hitting_matrix(pdata).shape == (10, 10)
+        assert secondorder.random_target(pdata).access.shape == (10,)
+        monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
+        pdata = pullback_of(nonbacktracking_edge_chain(petersen))
+        calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+        for query, what in ((secondorder.hitting_matrix, "the hitting matrix of 10 nodes"),
+                            (secondorder.random_target,
+                             "the access times of 10 nodes to each target")):
+            with pytest.raises(SizeCapError, match=f"^{what} needs 800 bytes of dense "
+                                                   "arrays, over the budget of 799 bytes$"):
+                query(pdata)
+        assert (dense, calls) == ([], []) and pdata.chain._node_system is None
