@@ -7,9 +7,12 @@ function, found with ``ast``). Blank lines, comment-only lines and
 docstring lines are therefore left out; tokens come from ``tokenize``,
 so lines inside other multi-line strings count.
 
-When the directory is a package, two option counts follow the table:
-the names in its ``__all__``, and the fields of its ``Tolerances``,
-each an independently settable value.
+When the directory is a package, three option counts follow the
+table: the names in its ``__all__``, the fields of its ``Tolerances``,
+each an independently settable value, and the parameters with a
+default across its public callables. Those are the objects named in
+its ``__all__``, and in the ``__all__`` of each submodule that it
+names there, each object once; a class counts by its ``__init__``.
 
     python scripts/code_lines.py            # the package under src/walktimes
     python scripts/code_lines.py some/dir   # any directory of .py files
@@ -19,8 +22,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
 import sys
 import tokenize
+import types
 from pathlib import Path
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -48,8 +53,31 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(path.read_bytes())))
 
 
+def public_objects(package: types.ModuleType) -> list:
+    """The objects named in ``__all__`` of the package and of the
+    submodules it names there, each once, in order."""
+    found = {}
+    for name in package.__all__:
+        obj = getattr(package, name)
+        members = ([getattr(obj, sub) for sub in obj.__all__]
+                   if isinstance(obj, types.ModuleType) else [obj])
+        for member in members:
+            found.setdefault(id(member), member)
+    return list(found.values())
+
+
+def defaulted_parameters(obj) -> int:
+    """Parameters with a default of a function, or of a class's ``__init__``."""
+    func = obj.__init__ if inspect.isclass(obj) else obj
+    if not callable(func):
+        return 0
+    params = inspect.signature(func).parameters.values()
+    return sum(p.default is not inspect.Parameter.empty for p in params)
+
+
 def option_counts(root: Path) -> list[tuple[str, int]]:
-    """Public names and ``Tolerances`` fields of the package at ``root``."""
+    """Public names, ``Tolerances`` fields and defaulted parameters of
+    the public callables of the package at ``root``."""
     if not (root / "__init__.py").exists():
         return []
     sys.path.insert(0, str(root.resolve().parent))
@@ -57,6 +85,8 @@ def option_counts(root: Path) -> list[tuple[str, int]]:
     counts = [(f"{package.__name__}.__all__ names", len(package.__all__))]
     if hasattr(package, "Tolerances"):
         counts.append(("Tolerances fields", len(dataclasses.fields(package.Tolerances))))
+    counts.append(("defaulted parameters",
+                   sum(map(defaulted_parameters, public_objects(package)))))
     return counts
 
 

@@ -85,6 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .chains import (
     _CSR,
     _csr_dot,
@@ -93,7 +94,6 @@ from .chains import (
     _scipy_csr,
     check_irreducible,
 )
-from .config import TOL, Tolerances, _dense_fits
 from .errors import ConvergenceError
 from .graph import _reached, _reversals
 
@@ -144,7 +144,7 @@ def splu(A, **kwargs):
     return superlu(A, **kwargs)
 
 
-def _direct_solve(B, rhs: np.ndarray, tol: Tolerances):
+def _direct_solve(B, rhs: np.ndarray):
     """Solve (I - B) x = rhs; None when the factorization is unusable."""
     import scipy.sparse as sp
 
@@ -157,16 +157,15 @@ def _direct_solve(B, rhs: np.ndarray, tol: Tolerances):
     if not np.all(np.isfinite(x)):
         return None
     resid = np.abs(A @ x - rhs).max()
-    if resid > tol.direct_solve_residual * max(1.0, np.abs(x).max()):
+    if resid > config.TOL.direct_solve_residual * max(1.0, np.abs(x).max()):
         return None
     return x
 
 
-def _validated_solve(B, rhs: np.ndarray, tol: Tolerances,
-                     what: str, upper: float = np.inf) -> np.ndarray:
+def _validated_solve(B, rhs: np.ndarray, what: str, upper: float = np.inf) -> np.ndarray:
     """``_direct_solve``, its solution within [-1e-9, ``upper``]; a
     rejected solve raises ``ConvergenceError``."""
-    x = _direct_solve(B, rhs, tol)
+    x = _direct_solve(B, rhs)
     if x is None or (x < -1e-9).any() or (x > upper).any():
         raise ConvergenceError(f"direct solve of the {what} failed its validation")
     return x
@@ -182,7 +181,7 @@ def _reach_masks(P, target: np.ndarray):
     return can, ~_reached(back.indptr, back.indices, ~can, stop=target)
 
 
-def _reach(P, target: np.ndarray, tol: Tolerances):
+def _reach(P, target: np.ndarray):
     """(reach probabilities, ``sure`` mask) of the target mask."""
     can, sure = _reach_masks(P, target)
     phi = sure.astype(np.float64)
@@ -190,25 +189,24 @@ def _reach(P, target: np.ndarray, tol: Tolerances):
     if chance.size:
         rows = P[chance]
         c = np.asarray(rows[:, sure].sum(axis=1)).ravel()
-        x = _validated_solve(rows[:, chance], c, tol, "reach probabilities", 1 + 1e-9)
+        x = _validated_solve(rows[:, chance], c, "reach probabilities", 1 + 1e-9)
         phi[chance] = np.clip(x, 0.0, 1.0)
     return phi, sure
 
 
-def reach_probabilities(P, target: np.ndarray,
-                        tol: Tolerances = TOL) -> np.ndarray:
+def reach_probabilities(P, target: np.ndarray) -> np.ndarray:
     """Probability of ever entering the target set, per state.
 
     Minimal nonnegative solution: 1 on the target, the average of the
     successors' values elsewhere. States that reach the target surely
     get exact ones, states that cannot reach it exact zeros.
     """
-    return _reach(P, np.asarray(target, dtype=bool), tol)[0]
+    return _reach(P, np.asarray(target, dtype=bool))[0]
 
 
 def expected_steps(P, zero_boundary: np.ndarray,
                    one_boundary: np.ndarray | None = None, *,
-                   assume_sure: bool, tol: Tolerances = TOL):
+                   assume_sure: bool):
     """Expected steps to absorption with fixed boundary values.
 
     States in ``zero_boundary`` are pinned to 0, states in
@@ -230,7 +228,7 @@ def expected_steps(P, zero_boundary: np.ndarray,
     if assume_sure:
         phi, finite = np.ones(n), np.ones(n, dtype=bool)
     else:
-        phi, finite = _reach(P, boundary, tol)
+        phi, finite = _reach(P, boundary)
 
     x = np.full(n, np.inf)
     x[zero_boundary] = 0.0
@@ -239,13 +237,12 @@ def expected_steps(P, zero_boundary: np.ndarray,
     if work.size:
         rows = P[work]
         rhs = 1.0 + np.asarray(rows[:, one_boundary].sum(axis=1)).ravel()
-        x[work] = np.maximum(_validated_solve(rows[:, work], rhs, tol, "expected steps"), 0.0)
+        x[work] = np.maximum(_validated_solve(rows[:, work], rhs, "expected steps"), 0.0)
     return x, finite, phi
 
 
 def chain_steps(chain, zero_boundary: np.ndarray,
-                one_boundary: np.ndarray | None = None,
-                tol: Tolerances = TOL):
+                one_boundary: np.ndarray | None = None):
     """``expected_steps`` on a chain's transition matrix.
 
     The reach solve runs only when the chain is reducible, where it is
@@ -253,7 +250,7 @@ def chain_steps(chain, zero_boundary: np.ndarray,
     cached on the chain.
     """
     return expected_steps(chain.matrix, zero_boundary, one_boundary,
-                          assume_sure=check_irreducible(chain)[0], tol=tol)
+                          assume_sure=check_irreducible(chain)[0])
 
 
 def _pair_form(chain):
@@ -364,7 +361,7 @@ def _factor_base(ns: _NodeSystem, sets: int) -> bool:
     size = ns.base_pinned.size
     if isinstance(ns.base, np.ndarray):
         return True
-    if (_dense_fits(4 * size * size * 8)
+    if (config._dense_fits(4 * size * size * 8)
             and (size <= _DENSE_SIZE or sets * _DENSE_SETS >= size)):
         vals, (rows, cols) = ns.base_entries
         BT = np.zeros((size, size))
@@ -554,7 +551,7 @@ def _set_solver(ns: _NodeSystem, pinned, diag, cols):
     return solve, failed
 
 
-def _node_space_steps(chain, in_S, sets: int, tol: Tolerances):
+def _node_space_steps(chain, in_S, sets: int):
     """Times to the node sets in the columns of the node mask ``in_S``
     (n x K), one block of a call that solves ``sets`` target sets,
     through the node-space system: an m x K array, and the mask of the
@@ -600,11 +597,11 @@ def _node_space_steps(chain, in_S, sets: int, tol: Tolerances):
     # boundary values are 0 and 1
     resid = np.abs(np.where(interior, x - _csr_dot(chain, x) - 1.0, 0.0)).max(axis=0)
     failed |= (x < -1e-9).any(axis=0)
-    failed |= resid > tol.direct_solve_residual * np.maximum(1.0, np.abs(x).max(axis=0))
+    failed |= resid > config.TOL.direct_solve_residual * np.maximum(1.0, np.abs(x).max(axis=0))
     return np.maximum(x, 0.0), served | ~failed
 
 
-def node_target_steps(chain, S, tol: Tolerances = TOL):
+def node_target_steps(chain, S):
     """``chain_steps`` to the second-order target node set S of an edge chain.
 
     Edges leaving S are pinned to 0 and edges entering S from outside
@@ -612,10 +609,10 @@ def node_target_steps(chain, S, tol: Tolerances = TOL):
     solved in node space; other chains, and node-space results that
     fail validation, take ``chain_steps``.
     """
-    return next(_node_sets_steps(chain, [S], tol))
+    return next(_node_sets_steps(chain, [S]))
 
 
-def _node_sets_steps(chain, sets, tol: Tolerances = TOL):
+def _node_sets_steps(chain, sets):
     """``node_target_steps`` for each node set in ``sets``, in turn.
 
     The sets are solved together in blocks, each with its own node
@@ -631,10 +628,10 @@ def _node_sets_steps(chain, sets, tol: Tolerances = TOL):
             block[np.asarray(S, dtype=np.int64), c] = True
         served = np.zeros(block.shape[1], dtype=bool)
         if check_irreducible(chain)[0]:
-            x, served = _node_space_steps(chain, block, len(sets), tol)
+            x, served = _node_space_steps(chain, block, len(sets))
         for k in range(block.shape[1]):
             if served[k]:
                 yield x[:, k], np.ones(g.m, dtype=bool), np.ones(g.m)
             else:
                 leaving = block[g.src, k]
-                yield chain_steps(chain, leaving, block[g.dst, k] & ~leaving, tol)
+                yield chain_steps(chain, leaving, block[g.dst, k] & ~leaving)

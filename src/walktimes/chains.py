@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from . import config
 from .errors import (
     ChainError,
     ConvergenceError,
@@ -204,13 +204,13 @@ def _row_sums(A) -> np.ndarray:
     return sums
 
 
-def _validate_rows(P, tol: float, what: str):
+def _validate_rows(P, what: str):
     if not np.isfinite(P.data).all():
         raise ChainError(f"{what} has non-finite transition probabilities")
     if (P.data < 0).any():
         raise ChainError(f"{what} has negative transition probabilities")
     sums = _row_sums(P)
-    bad = np.abs(sums - 1.0) > tol
+    bad = np.abs(sums - 1.0) > config.TOL.row_sum
     if bad.any():
         idx = int(np.argmax(np.abs(sums - 1.0)))
         raise ChainError(
@@ -224,7 +224,8 @@ def _residual(P, pi: np.ndarray) -> float:
     return float(np.abs(_csr_tdot(P, pi) - pi).sum())
 
 
-def _validate_density(P, pi: np.ndarray, tol: float, what: str):
+def _validate_density(P, pi: np.ndarray, what: str):
+    tol = config.TOL.density_residual
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (P.shape[0],):
         raise ChainError(f"{what} density has wrong length")
@@ -250,21 +251,21 @@ class Chain:
 
     ``density`` is the chain's invariant density, and the chain is
     the one place that decides it: a supplied density is validated
-    against ``tol.density_residual``; without one, the uniform density
+    against ``TOL.density_residual``; without one, the uniform density
     is taken when its balance residual meets
-    ``tol.stationary_residual``, the bound a solved density must meet
+    ``TOL.stationary_residual``, the bound a solved density must meet
     (exact for every built-in edge walk on an undirected graph);
     otherwise it is None and ``stationary_density`` solves for it.
     """
 
     def __init__(self, graph: Graph, matrix, states: str, density=None,
-                 kind="custom", tol: Tolerances = TOL):
+                 kind="custom"):
         if states not in ("nodes", "edges"):
             raise ChainError(f"chain states must be 'nodes' or 'edges', got {states!r}")
         unit = states[:-1]
         n = graph.n if states == "nodes" else graph.m
         self.indptr, self.indices, self.data = _csr_arrays(matrix, n, unit)
-        _validate_rows(self, tol.row_sum, f"{unit} chain")
+        _validate_rows(self, f"{unit} chain")
         rows = _csr_rows(self.indptr)
         if states == "nodes":
             bad = ~np.isin(rows * n + self.indices, graph.src * n + graph.dst)
@@ -285,10 +286,10 @@ class Chain:
         self.states = states
         self.kind = kind
         if density is not None:
-            density = _validate_density(self, density, tol.density_residual, f"{unit} chain")
+            density = _validate_density(self, density, f"{unit} chain")
         elif n:
             uniform = np.full(n, 1.0 / n)
-            if _residual(self, uniform) <= tol.stationary_residual:
+            if _residual(self, uniform) <= config.TOL.stationary_residual:
                 density = uniform
         self.density = density
         self._components: list[np.ndarray] | None = None
@@ -336,7 +337,7 @@ def _require_out_edges(g: Graph):
         )
 
 
-def uniform_node_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
+def uniform_node_chain(g: Graph) -> Chain:
     """Classical walk: each out-edge of the current node equally likely.
 
     On an undirected graph the chain carries its exact invariant
@@ -346,10 +347,10 @@ def uniform_node_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
     deg = g.out_degree.astype(np.float64)
     density = deg / deg.sum() if g.undirected else None
     return Chain(g, (1.0 / deg[g.src], (g.src, g.dst)), "nodes", density=density,
-                 kind="uniform", tol=tol)
+                 kind="uniform")
 
 
-def _mixed_edge_chain(g: Graph, alpha: float, kind: str, tol: Tolerances) -> Chain:
+def _mixed_edge_chain(g: Graph, alpha: float, kind: str) -> Chain:
     """Edge chain mixing the classical step (weight alpha) with the
     never-backtracking step (weight 1 - alpha).
 
@@ -365,25 +366,25 @@ def _mixed_edge_chain(g: Graph, alpha: float, kind: str, tol: Tolerances) -> Cha
             raise DanglingEdgeError([g.edges[e] for e in stuck])
         nb = np.where(lg.backtracking, 0.0, 1.0 / _continuations(g)[lg.tail])
         data = nb if alpha == 0.0 else alpha * data + (1.0 - alpha) * nb
-    return Chain(g, (data, (lg.tail, lg.head)), "edges", kind=kind, tol=tol)
+    return Chain(g, (data, (lg.tail, lg.head)), "edges", kind=kind)
 
 
-def uniform_edge_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
+def uniform_edge_chain(g: Graph) -> Chain:
     """Edge chain of the classical walk: the memory is carried but unused."""
-    return _mixed_edge_chain(g, 1.0, "uniform", tol)
+    return _mixed_edge_chain(g, 1.0, "uniform")
 
 
-def nonbacktracking_edge_chain(g: Graph, tol: Tolerances = TOL) -> Chain:
+def nonbacktracking_edge_chain(g: Graph) -> Chain:
     """Walk that never reverses the step it just took.
 
     From state (i, j) every edge (j, k) with k != i is equally likely.
     Requires no dangling edges: from a dangling edge only the reversal
     continues, leaving an empty transition row.
     """
-    return _mixed_edge_chain(g, 0.0, "nonbacktracking", tol)
+    return _mixed_edge_chain(g, 0.0, "nonbacktracking")
 
 
-def downweighted_edge_chain(g: Graph, alpha: float, tol: Tolerances = TOL) -> Chain:
+def downweighted_edge_chain(g: Graph, alpha: float) -> Chain:
     """Mixture chain: backtracking allowed but downweighted.
 
     ``alpha`` interpolates between the never-backtracking walk (0) and
@@ -391,10 +392,10 @@ def downweighted_edge_chain(g: Graph, alpha: float, tol: Tolerances = TOL) -> Ch
     """
     if not (0.0 <= alpha <= 1.0):
         raise ChainError(f"mixing weight must lie in [0, 1], got {alpha!r}")
-    return _mixed_edge_chain(g, alpha, f"downweighted:{alpha:g}", tol)
+    return _mixed_edge_chain(g, alpha, f"downweighted:{alpha:g}")
 
 
-def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> Chain:
+def edge_chain_from_tensor(g: Graph, probs) -> Chain:
     """Build an edge chain from explicit (prev, cur, next) probabilities.
 
     ``probs`` maps node triples (i, j, k) to the probability of
@@ -427,7 +428,7 @@ def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> Chain:
     P.sum_duplicates()
     sums = np.asarray(P.sum(axis=1)).ravel()
     # negated so that a nan sum counts as bad
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.density_residual))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= config.TOL.density_residual))
     if bad.size:
         e = int(bad[0])
         raise ChainError(
@@ -435,7 +436,7 @@ def edge_chain_from_tensor(g: Graph, probs, tol: Tolerances = TOL) -> Chain:
         )
     # renormalize the tiny slack so construction-time row checks pass exactly
     scale = sp.diags(1.0 / sums)
-    return Chain(g, scale @ P, "edges", kind="tensor", tol=tol)
+    return Chain(g, scale @ P, "edges", kind="tensor")
 
 
 def transition_tensor(chain: Chain) -> dict[tuple[int, int, int], float]:
@@ -475,7 +476,15 @@ def check_irreducible(chain) -> tuple[bool, list[np.ndarray]]:
     return len(comps) == 1, comps
 
 
-def _power_iteration(P, tol: float, max_iter: int = 200_000) -> np.ndarray:
+# the density of a chain of more states than this is found by power
+# iteration alone, without a direct solve first
+_POWER_ITERATION_THRESHOLD = 50_000
+# power iteration stops once an iterate moves by at most this much in
+# the 1-norm; its result is still held to TOL.stationary_residual
+_POWER_ITERATION_TOL = 1e-13
+
+
+def _power_iteration(P, max_iter: int = 200_000) -> np.ndarray:
     # iterate the lazy chain (I + P)/2: same invariant density, aperiodic
     n = P.shape[0]
     PT = P.T.tocsr()
@@ -483,7 +492,7 @@ def _power_iteration(P, tol: float, max_iter: int = 200_000) -> np.ndarray:
     for _ in range(max_iter):
         y = 0.5 * (x + PT @ x)
         y /= y.sum()
-        if np.abs(y - x).sum() <= tol:
+        if np.abs(y - x).sum() <= _POWER_ITERATION_TOL:
             return y
         x = y
     raise ConvergenceError("power iteration did not converge")
@@ -495,7 +504,7 @@ def _normalized(P, pi) -> tuple[np.ndarray, float]:
     return pi, _residual(P, pi)
 
 
-def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:
+def stationary_density(chain) -> np.ndarray:
     """Unique invariant probability density of an irreducible chain.
 
     A reducible chain raises ``ReducibleChainError`` with its strongly
@@ -508,10 +517,10 @@ def stationary_density(chain, tol: Tolerances = TOL) -> np.ndarray:
         raise ReducibleChainError(comps, what=f"{chain.states[:-1]} chain")
     if chain.density is not None:
         return chain.density
-    return _solve_density(chain.matrix, tol)
+    return _solve_density(chain.matrix)
 
 
-def _solve_density(P, tol: Tolerances = TOL) -> np.ndarray:
+def _solve_density(P) -> np.ndarray:
     """Invariant density of an irreducible transition matrix.
 
     Solved directly from the balance equations with a normalization
@@ -524,7 +533,7 @@ def _solve_density(P, tol: Tolerances = TOL) -> np.ndarray:
 
     n = P.shape[0]
     pi = None
-    if n <= tol.power_iteration_threshold:
+    if n <= _POWER_ITERATION_THRESHOLD:
         A = (P.T - sp.identity(n, format="csr")).tocsr()
         M = sp.vstack([A[:-1, :], sp.csr_matrix(np.ones((1, n)))]).tocsc()
         b = np.zeros(n)
@@ -537,9 +546,9 @@ def _solve_density(P, tol: Tolerances = TOL) -> np.ndarray:
             pi = None
     # power iteration runs at most once: as the fallback of a direct
     # solve that failed or failed validation, or as the only route
-    if pi is None or resid > tol.stationary_residual or (pi <= 0).any():
-        pi, resid = _normalized(P, _power_iteration(P, tol.power_iteration_tol))
-        if resid > tol.stationary_residual or (pi <= 0).any():
+    if pi is None or resid > config.TOL.stationary_residual or (pi <= 0).any():
+        pi, resid = _normalized(P, _power_iteration(P))
+        if resid > config.TOL.stationary_residual or (pi <= 0).any():
             raise ConvergenceError(
                 f"invariant density failed validation: residual {resid:.3e}"
             )

@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .config import TOL, fmt
+from . import config
+from .config import fmt
 from .errors import (
     ChainError,
     ConvergenceError,
@@ -379,7 +380,7 @@ def cmd_validate(args) -> int:
     for k, (direct, _, _) in enumerate(targets):
         via = so.mean_hitting_times_via_line_graph(chain, k)
         worst = max(worst, _max_diff_with_inf(direct, via))
-    if worst <= TOL.equivalence:
+    if worst <= config.TOL.equivalence:
         record("PASS", "edge-time-equivalence", f"max deviation {worst:.3e}")
     else:
         record("FAIL", "edge-time-equivalence", f"max deviation {worst:.3e}")
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target node label (hitting)")
     p.add_argument("--trials", type=_at_least_one, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=_at_least_one, default=TOL.simulation_step_cap)
+    p.add_argument("--cap", type=_at_least_one, default=config.TOL.simulation_step_cap)
     _add_output_args(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walk", default="nb", help=WALK_HELP)
     p.add_argument("--trials", type=_at_least_one, default=20_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=_at_least_one, default=TOL.simulation_step_cap)
+    p.add_argument("--cap", type=_at_least_one, default=config.TOL.simulation_step_cap)
     _add_output_args(p)
     p.set_defaults(func=cmd_validate)
 

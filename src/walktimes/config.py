@@ -1,8 +1,9 @@
 """Numerical tolerances and size caps used throughout the package.
 
-All identity checks compare against these constants so that every
-tolerance lives in one place. Functions take an optional ``tol``
-argument; the module-level ``TOL`` is the default everywhere.
+Every identity, residual and route check compares against one field
+of ``TOL``, so every bound lives in one place. Each check reads
+``config.TOL`` when it runs: replacing ``TOL`` (for instance with
+``dataclasses.replace``) changes the bound of every later check.
 
 Dense memory has one cap, in bytes: ``_dense_fits`` holds every dense
 array sized by a product of two problem sizes (states, nodes, walks),
@@ -29,8 +30,6 @@ class Tolerances:
 
     # linear solvers
     direct_solve_residual: float = 1e-10  # relative residual accepted from LU
-    power_iteration_tol: float = 1e-13
-    power_iteration_threshold: int = 50_000  # states above this use power iteration
 
     # identity checks
     kac_agreement: float = 1e-10        # return time vs reciprocal density mass

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from ._solvers import chain_steps, reach_probabilities
 from .chains import (
     _csr_dot,
@@ -29,7 +30,6 @@ from .chains import (
     check_irreducible,
     stationary_density,
 )
-from .config import TOL, Tolerances, _dense_fits
 from .errors import InvariantViolation, QueryError
 
 __all__ = [
@@ -104,20 +104,20 @@ class SubsetDecomposition:
     offset: float             # constant subtracted from the weighted sum
 
 
-def hitting_probabilities(chain, S, tol: Tolerances = TOL) -> np.ndarray:
+def hitting_probabilities(chain, S) -> np.ndarray:
     """Probability of ever reaching the state set S, per start state."""
     mask = _target_mask(chain.n_states, S)
-    return reach_probabilities(chain.matrix, mask, tol=tol)
+    return reach_probabilities(chain.matrix, mask)
 
 
-def mean_hitting_times(chain, S, tol: Tolerances = TOL) -> HittingSolution:
+def mean_hitting_times(chain, S) -> HittingSolution:
     """Expected steps to reach the state set S, per start state.
 
     States already in S take 0 steps. A state that reaches S with
     probability below one has infinite expected time.
     """
     mask = _target_mask(chain.n_states, S)
-    time, finite, phi = chain_steps(chain, mask, tol=tol)
+    time, finite, phi = chain_steps(chain, mask)
     return HittingSolution(
         target=tuple(int(i) for i in np.flatnonzero(mask)),
         probability=phi,
@@ -126,7 +126,7 @@ def mean_hitting_times(chain, S, tol: Tolerances = TOL) -> HittingSolution:
     )
 
 
-def _entry_times(chain, mask, tol) -> np.ndarray:
+def _entry_times(chain, mask) -> np.ndarray:
     """Expected steps to S per state, all of which must be finite.
 
     An invariant density does not make the chain irreducible: a
@@ -135,7 +135,7 @@ def _entry_times(chain, mask, tol) -> np.ndarray:
     reducible chain it marks the states that miss S, and any such
     state fails the identity the caller is about to check.
     """
-    time, finite, _ = chain_steps(chain, mask, tol=tol)
+    time, finite, _ = chain_steps(chain, mask)
     if not finite.all():
         raise InvariantViolation(
             "hitting time is infinite: some state never reaches the target set"
@@ -143,19 +143,19 @@ def _entry_times(chain, mask, tol) -> np.ndarray:
     return time
 
 
-def _singleton_columns(chain, states, tol) -> np.ndarray:
+def _singleton_columns(chain, states) -> np.ndarray:
     """Column c holds the expected steps to the single state states[c]."""
     n = chain.n_states
     cols = np.empty((n, len(states)))
     mask = np.zeros(n, dtype=bool)
     for c, k in enumerate(states):
         mask[k] = True
-        cols[:, c] = _entry_times(chain, mask, tol)
+        cols[:, c] = _entry_times(chain, mask)
         mask[k] = False
     return cols
 
 
-def return_times(chain, S, pi=None, tol: Tolerances = TOL) -> ReturnData:
+def return_times(chain, S, pi=None) -> ReturnData:
     """Mean time to come back to the set S, started inside it.
 
     For each i in S the one-step shift gives
@@ -164,15 +164,15 @@ def return_times(chain, S, pi=None, tol: Tolerances = TOL) -> ReturnData:
     invariant mass of S; the identity is enforced here.
     """
     if pi is None:
-        pi = stationary_density(chain, tol=tol)
+        pi = stationary_density(chain)
     mask = _target_mask(chain.n_states, S)
-    tau = _entry_times(chain, mask, tol)
+    tau = _entry_times(chain, mask)
     idx = np.flatnonzero(mask)
     tau_plus = 1.0 + (chain.matrix[idx] @ tau)
     mass = float(pi[idx].sum())
     set_mean = float(pi[idx] @ tau_plus) / mass
     expected = 1.0 / mass
-    if abs(set_mean - expected) > tol.kac_agreement * max(1.0, expected):
+    if abs(set_mean - expected) > config.TOL.kac_agreement * max(1.0, expected):
         raise InvariantViolation(
             f"return time {set_mean!r} disagrees with reciprocal mass {expected!r}"
         )
@@ -193,7 +193,7 @@ def _time_residual(P, T, pi) -> np.ndarray:
     return R
 
 
-def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
+def hitting_matrix(chain, pi=None) -> TimeMatrix:
     """Dense matrix of expected travel times between all state pairs.
 
     Column k holds the expected steps to reach k. Every column comes
@@ -208,13 +208,14 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
     ``SizeCapError`` before anything is allocated.
     """
     n = chain.n_states
-    # nine n x n float64 arrays at the peak, the extended-precision
-    # residual's included (tracemalloc: 9.4, 9.1 and 9.1 n^2 at 2,000 and
-    # 4,096 node states and 3,600 nb edge states; the excess over 9
-    # shrinks as n grows)
-    _dense_fits(9 * n * n * 8, f"the time matrix of {n} states")
+    # eight n x n float64 arrays at the peak, the extended-precision
+    # residual's included, once A is released after the inverse
+    # (tracemalloc: 8.026 and 8.012 n^2 at 1,000 and 2,000 node states,
+    # 8.006 n^2 at 3,600 nb edge states; the excess over 8 shrinks as n
+    # grows)
+    config._dense_fits(8 * n * n * 8, f"the time matrix of {n} states")
     if pi is None:
-        pi = stationary_density(chain, tol=tol)
+        pi = stationary_density(chain)
     if not check_irreducible(chain)[0]:
         # some state misses some other: that column is infinite
         raise InvariantViolation(
@@ -225,6 +226,7 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
     np.subtract.at(A, (_csr_rows(chain.indptr), chain.indices), chain.data)
     A += pi[None, :]
     Z = np.linalg.inv(A)
+    del A
     T = (np.diag(Z)[None, :] - Z) / (pi @ Z)[None, :]
     # the correction solves (I - P) D = R with zero diagonal; each
     # column's diagonal entry, the return equation, is redundant, so
@@ -240,20 +242,19 @@ def hitting_matrix(chain, pi=None, tol: Tolerances = TOL) -> TimeMatrix:
     row_means = T @ pi
     kappa = float(row_means.mean())
     spread = float((row_means.max() - row_means.min()) / max(1.0, abs(kappa)))
-    if spread > tol.kemeny_spread:
+    if spread > config.TOL.kemeny_spread:
         raise InvariantViolation(
             f"density-weighted row means of the time matrix vary by {spread:.3e}"
         )
     resid = np.abs(_time_residual(chain, T, pi)).max()
-    if resid > tol.t_matrix_residual * max(1.0, np.abs(T).max() * 1e-6):
+    if resid > config.TOL.t_matrix_residual * max(1.0, np.abs(T).max() * 1e-6):
         raise InvariantViolation(
             f"time matrix violates its linear equation: residual {resid:.3e}"
         )
     return TimeMatrix(matrix=T, kappa=kappa, kappa_spread=spread)
 
 
-def subset_decomposition(chain, S, pi=None, T=None,
-                         tol: Tolerances = TOL) -> SubsetDecomposition:
+def subset_decomposition(chain, S, pi=None, T=None) -> SubsetDecomposition:
     """Express hitting times of a set through its singleton columns.
 
     The hitting time vector of S equals a convex combination of the
@@ -266,35 +267,35 @@ def subset_decomposition(chain, S, pi=None, T=None,
     ``T`` may carry a precomputed time matrix to reuse its columns.
     """
     if pi is None:
-        pi = stationary_density(chain, tol=tol)
+        pi = stationary_density(chain)
     n = chain.n_states
     mask = _target_mask(n, S)
     idx = np.flatnonzero(mask)
-    tau = _entry_times(chain, mask, tol)
+    tau = _entry_times(chain, mask)
     tau_plus = 1.0 + (chain.matrix[idx] @ tau)
 
     weights = np.zeros(n)
     weights[idx] = pi[idx] * tau_plus
     wsum = weights.sum()
-    if abs(wsum - 1.0) > tol.weight_sum:
+    if abs(wsum - 1.0) > config.TOL.weight_sum:
         raise InvariantViolation(
             f"decomposition weights sum to {wsum!r}, expected 1"
         )
 
-    cols = T[:, idx] if T is not None else _singleton_columns(chain, idx, tol)
+    cols = T[:, idx] if T is not None else _singleton_columns(chain, idx)
 
     # the constant, evaluated at every member of S, must not vary
     offsets = cols[idx] @ weights[idx]
     off = float(offsets.mean())
     off_spread = float(np.abs(offsets - off).max())
-    if off_spread > tol.subset_offset_spread * max(1.0, abs(off)):
+    if off_spread > config.TOL.subset_offset_spread * max(1.0, abs(off)):
         raise InvariantViolation(
             f"decomposition offset varies over the set by {off_spread:.3e}"
         )
 
     recon = cols @ weights[idx] - off
     resid = np.abs(recon - tau).max()
-    if resid > tol.subset_identity * max(1.0, np.abs(tau).max() * 1e-6):
+    if resid > config.TOL.subset_identity * max(1.0, np.abs(tau).max() * 1e-6):
         raise InvariantViolation(
             f"subset decomposition identity failed: residual {resid:.3e}"
         )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, _dense_fits
+from . import config
 from .errors import ChainError, QueryError
 from .firstorder import _target_mask
 from .secondorder import _check_node
@@ -160,9 +160,11 @@ def _trial_count(trials) -> int:
     return trials
 
 
-def _block_sizes(trials) -> list[int]:
-    full, rest = divmod(_trial_count(trials), BLOCK)
-    return [BLOCK] * full + ([rest] if rest else [])
+def _block_sizes(trials):
+    """The walks of each block in turn: BLOCK each, the last the rest.
+    Yielded as the blocks run, so no trial count builds a list of them."""
+    trials = _trial_count(trials)
+    return (min(BLOCK, trials - start) for start in range(0, trials, BLOCK))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -210,7 +212,7 @@ def _first_passage(chain, start, t0, stop, trials, seed, cap) -> WalkStats:
 
 
 def simulate_so_hitting(pdata, source, target, trials,
-                        seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
+                        seed, cap: int = config.TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from one node to another.
 
     The first step leaves ``source`` along the start distribution of
@@ -223,7 +225,7 @@ def simulate_so_hitting(pdata, source, target, trials,
 
 
 def simulate_so_return(pdata, node, trials,
-                       seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
+                       seed, cap: int = config.TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of the walk from a node back to itself."""
     return _node_walks(pdata, node, node, trials, seed, cap)
 
@@ -238,7 +240,7 @@ def _node_walks(pdata, source, target, trials, seed, cap) -> WalkStats:
 
 
 def simulate_so_sweep(pdata, source, trials, seed,
-                      cap: int = TOL.simulation_step_cap):
+                      cap: int = config.TOL.simulation_step_cap):
     """One batch of walks measuring everything at once from a source.
 
     Each walk records its first visit time to every node and its first
@@ -255,15 +257,15 @@ def simulate_so_sweep(pdata, source, trials, seed,
     n = chain.graph.n
     start = _first_edges(pdata, source)
     # a block's int64 visit times and the bool mask that counting them holds
-    blocks = _block_sizes(trials)
-    _dense_fits(9 * blocks[0] * (n + 1), f"the visit times of {blocks[0]} walks to {n} nodes")
+    rows = min(BLOCK, _trial_count(trials))
+    config._dense_fits(9 * rows * (n + 1), f"the visit times of {rows} walks to {n} nodes")
     sampler = _sampler(chain)
     # column of the node each edge enters; entering the source fills
     # the extra column n, which holds the first return
     dst = chain.graph.dst
     column = np.where(dst == source, n, dst)
     sums = np.zeros((4, n + 1), dtype=object)   # Python ints
-    for b, nb in enumerate(blocks):
+    for b, nb in enumerate(_block_sizes(trials)):
         rng = _block_rng(seed, b)
         # first visit times, 0 until seen: no walk writes the source's
         # column, whose visits are all at time 0
@@ -293,7 +295,7 @@ def simulate_so_sweep(pdata, source, trials, seed,
 
 
 def simulate_fo_hitting(chain, source, targets, trials,
-                        seed, cap: int = TOL.simulation_step_cap) -> WalkStats:
+                        seed, cap: int = config.TOL.simulation_step_cap) -> WalkStats:
     """Empirical mean steps of a first-order chain into a state set."""
     n = chain.n_states
     mark = _target_mask(n, targets)

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import config
 from .chains import (
     Chain,
     _csr_rows,
@@ -40,7 +41,6 @@ from .chains import (
     check_irreducible,
     stationary_density,
 )
-from .config import TOL, Tolerances
 from .errors import ChainError, InvariantViolation
 
 __all__ = [
@@ -107,8 +107,7 @@ def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> n
     return out / sums2[groups]
 
 
-def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
-                         tol: Tolerances = TOL) -> PullbackData:
+def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None) -> PullbackData:
     """Collapse an edge chain to its equilibrium node chain.
 
     The invariant edge density is ``pihat`` when supplied (validated
@@ -124,11 +123,11 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     _require_edge_chain(chain)
     g = chain.graph
     if pihat is not None:
-        pihat = _validate_density(chain, pihat, tol.density_residual, "supplied edge")
+        pihat = _validate_density(chain, pihat, "supplied edge")
     elif chain.density is not None:
         pihat = chain.density
     else:
-        pihat = stationary_density(chain, tol=tol)
+        pihat = stationary_density(chain)
 
     m, n = g.m, g.n
     node_density = np.bincount(g.dst, weights=pihat, minlength=n)
@@ -139,7 +138,7 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     # out-mass must match in-mass at stationarity
     out_mass = np.bincount(g.src, weights=pihat, minlength=n)
     balance = np.abs(out_mass - node_density).max()
-    if balance > tol.inout_balance:
+    if balance > config.TOL.inout_balance:
         raise InvariantViolation(
             f"in/out mass balance violated by {balance:.3e}"
         )
@@ -150,7 +149,7 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     # lifting @ restriction is diagonal, both operators indexing edge e
     # by its target: entry (i, i) sums the arrival weights into i
     identity = np.bincount(g.dst, weights=arrival, minlength=n)
-    if np.count_nonzero(identity) != n or np.abs(identity - 1.0).max() > tol.pullback_entry:
+    if np.count_nonzero(identity) != n or np.abs(identity - 1.0).max() > config.TOL.pullback_entry:
         raise InvariantViolation("lifting @ restriction deviates from the identity")
 
     # lifting @ P @ restriction: entry (i, k) is the weight of edge
@@ -160,7 +159,7 @@ def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None,
     on = weight != 0
     node_pi = node_density / node_density.sum()
     collapsed = Chain(g, (weight[on], (g.src[on], g.dst[on])), "nodes", density=node_pi,
-                      kind=f"pullback:{chain.kind}", tol=tol)
+                      kind=f"pullback:{chain.kind}")
 
     irr, _ = check_irreducible(chain)
     if irr:

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from . import firstorder as fo
 from ._solvers import _node_sets_steps, node_target_steps, reach_probabilities
 from .chains import _csr_dot, _require_edge_chain, check_irreducible
-from .config import TOL, Tolerances, _dense_fits
 from .errors import InvariantViolation, QueryError, ReducibleChainError
 from .pullback import PullbackData
 
@@ -83,15 +83,15 @@ def _boundary_masks(chain, k):
     return g.src == k, g.dst == k
 
 
-def hitting_probabilities(chain, k, tol: Tolerances = TOL) -> np.ndarray:
+def hitting_probabilities(chain, k) -> np.ndarray:
     """Per-edge probability that the walk ever visits node k."""
     _require_edge_chain(chain)
     k = _check_node(chain, k)
     leaving, entering = _boundary_masks(chain, k)
-    return reach_probabilities(chain.matrix, leaving | entering, tol=tol)
+    return reach_probabilities(chain.matrix, leaving | entering)
 
 
-def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> fo.HittingSolution:
+def mean_hitting_times(chain, k) -> fo.HittingSolution:
     """Expected steps until the walk visits node k, per starting edge.
 
     Edges leaving k count as already there (0); edges entering k take
@@ -100,11 +100,11 @@ def mean_hitting_times(chain, k, tol: Tolerances = TOL) -> fo.HittingSolution:
     """
     _require_edge_chain(chain)
     k = _check_node(chain, k)
-    time, finite, phi = node_target_steps(chain, (k,), tol=tol)
+    time, finite, phi = node_target_steps(chain, (k,))
     return fo.HittingSolution(target=(k,), probability=phi, time=time, finite=finite)
 
 
-def mean_hitting_times_via_line_graph(chain, k, tol: Tolerances = TOL) -> np.ndarray:
+def mean_hitting_times_via_line_graph(chain, k) -> np.ndarray:
     """Same quantity through plain first-order machinery on edges.
 
     The walk visits node k exactly when the edge process enters the
@@ -120,23 +120,23 @@ def mean_hitting_times_via_line_graph(chain, k, tol: Tolerances = TOL) -> np.nda
         time = np.full(chain.n_states, np.inf)
         time[leaving] = 0.0
         return time
-    sol = fo.mean_hitting_times(chain, np.flatnonzero(entering), tol=tol)
+    sol = fo.mean_hitting_times(chain, np.flatnonzero(entering))
     time = sol.time + 1.0
     time[leaving] = 0.0
     return time
 
 
-def node_hitting_times(pdata: PullbackData, k, tol: Tolerances = TOL) -> np.ndarray:
+def node_hitting_times(pdata: PullbackData, k) -> np.ndarray:
     """Expected steps from each start node to node k.
 
     A start node has not moved yet: average the per-edge times over
     the first-step distribution of its out-edges.
     """
-    hitting = mean_hitting_times(pdata.chain, k, tol=tol)
+    hitting = mean_hitting_times(pdata.chain, k)
     return _start_mean(pdata, hitting.time)
 
 
-def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> float:
+def _return_time(pdata: PullbackData, nodes, x, name: str) -> float:
     """Return time of the node process to ``nodes``, from x, the times to them.
 
     Start inside the set in equilibrium, leave along the first-step
@@ -156,7 +156,7 @@ def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> f
     w = pdata.first_transition[out] * (pi[g.src[out]] / mass)
     value = 1.0 + float(w @ _csr_dot(chain, x)[out])
     expected = float(1.0 / mass)
-    if abs(value - expected) > tol.return_agreement * max(1.0, expected):
+    if abs(value - expected) > config.TOL.return_agreement * max(1.0, expected):
         irreducible, components = check_irreducible(chain)
         if not irreducible:
             raise ReducibleChainError(components, what="edge chain")
@@ -167,7 +167,7 @@ def _return_time(pdata: PullbackData, nodes, x, name: str, tol: Tolerances) -> f
     return value
 
 
-def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData:
+def return_times(pdata: PullbackData, S) -> fo.ReturnData:
     """Mean return times of the node process to each node of S and to S.
 
     Per node: leave along the first-step distribution, take one step,
@@ -185,11 +185,11 @@ def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData
     for k in nodes:
         _check_node(chain, k)
     per_state = np.zeros(g.n)
-    for k, (x, _, _) in zip(nodes, _node_sets_steps(chain, [(k,) for k in nodes], tol)):
-        per_state[k] = _return_time(pdata, [k], x, f"node {k}", tol)
+    for k, (x, _, _) in zip(nodes, _node_sets_steps(chain, [(k,) for k in nodes])):
+        per_state[k] = _return_time(pdata, [k], x, f"node {k}")
     if len(nodes) > 1:
-        x = node_target_steps(chain, nodes, tol=tol)[0]
-        _return_time(pdata, nodes, x, f"the {len(nodes)}-node set", tol)
+        x = node_target_steps(chain, nodes)[0]
+        _return_time(pdata, nodes, x, f"the {len(nodes)}-node set")
 
     mass = float(pdata.node_density[nodes].sum())
     return fo.ReturnData(
@@ -200,22 +200,22 @@ def return_times(pdata: PullbackData, S, tol: Tolerances = TOL) -> fo.ReturnData
     )
 
 
-def hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
+def hitting_matrix(pdata: PullbackData) -> np.ndarray:
     """Dense n x n matrix of expected node-to-node times of the walk.
 
     Column k holds the per-edge times to node k averaged over first
     steps (``node_hitting_times``); the diagonal is exactly zero.
     """
     n = pdata.chain.graph.n
-    _dense_fits(n * n * 8, f"the hitting matrix of {n} nodes")
+    config._dense_fits(n * n * 8, f"the hitting matrix of {n} nodes")
     T = np.empty((n, n))
-    targets = _node_sets_steps(pdata.chain, [(k,) for k in range(n)], tol)
+    targets = _node_sets_steps(pdata.chain, [(k,) for k in range(n)])
     for k, (x, _, _) in enumerate(targets):
         T[:, k] = _start_mean(pdata, x)
     return T
 
 
-def lifted_hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndarray:
+def lifted_hitting_matrix(pdata: PullbackData) -> np.ndarray:
     """The same matrix through the edge chain's time matrix, cross-checked.
 
     Push the dense edge-pair time matrix through the equilibrium
@@ -223,34 +223,32 @@ def lifted_hitting_matrix(pdata: PullbackData, tol: Tolerances = TOL) -> np.ndar
     in-edge set of its target node, collapse, and subtract per-target
     offsets. The result must agree with ``hitting_matrix`` within
     tolerance, and is returned. Its largest arrays are those that form
-    the edge time matrix, 9 m^2 (``fo.hitting_matrix``, whose byte
+    the edge time matrix, 8 m^2 (``fo.hitting_matrix``, whose byte
     budget check comes first); what it holds after that, that matrix,
     its scaled copy and their n x m product, is smaller.
     """
     chain = pdata.chain
     g = chain.graph
     pihat = pdata.edge_density
-    edge_T = fo.hitting_matrix(chain, pi=pihat, tol=tol)
+    edge_T = fo.hitting_matrix(chain, pi=pihat)
     scale = np.zeros(g.m)
     offsets = np.zeros(g.n)
     for k in range(g.n):
-        dec = fo.subset_decomposition(
-            chain, g.in_edges(k), pi=pihat, T=edge_T.matrix, tol=tol
-        )
+        dec = fo.subset_decomposition(chain, g.in_edges(k), pi=pihat, T=edge_T.matrix)
         scale += dec.weights
         offsets[k] = dec.offset
     lifted = (pdata.lifting @ (edge_T.matrix * scale[None, :]) @
               pdata.restriction)
     lifted = np.asarray(lifted) - offsets[None, :]
 
-    agg = hitting_matrix(pdata, tol=tol)
+    agg = hitting_matrix(pdata)
     diff = float(np.abs(agg - lifted).max())
-    if diff > tol.route_agreement * max(1.0, np.abs(agg).max() * 1e-6):
+    if diff > config.TOL.route_agreement * max(1.0, np.abs(agg).max() * 1e-6):
         raise InvariantViolation(f"hitting matrix routes disagree by {diff:.3e}")
     return lifted
 
 
-def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetData:
+def random_target(pdata: PullbackData) -> RandomTargetData:
     """Expected time to a target drawn from the invariant node density.
 
     The relative ``spread`` of the access times is reported as 0 when
@@ -266,15 +264,15 @@ def random_target(pdata: PullbackData, tol: Tolerances = TOL) -> RandomTargetDat
     """
     chain = pdata.chain
     g = chain.graph
-    _dense_fits(g.n * g.n * 8, f"the access times of {g.n} nodes to each target")
+    config._dense_fits(g.n * g.n * 8, f"the access times of {g.n} nodes to each target")
     times = np.empty((g.n, g.n))
     condition = True
-    targets = _node_sets_steps(chain, [(k,) for k in range(g.n)], tol)
+    targets = _node_sets_steps(chain, [(k,) for k in range(g.n)])
     for k, (x, _, _) in enumerate(targets):
         times[:, k] = _start_mean(pdata, x)
         if condition:
             vals = 1.0 + _csr_dot(chain, _csr_dot(chain, x))[g.in_edges(k)]
-            condition = bool(np.ptp(vals) <= tol.access_spread * max(1.0, vals.mean()))
+            condition = bool(np.ptp(vals) <= config.TOL.access_spread * max(1.0, vals.mean()))
     access = times @ pdata.node_density
     kappa = float(access.mean())
     spread = (float((access.max() - access.min()) / max(1.0, abs(kappa)))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
 from pathlib import Path
 
 import pytest
 
 import oracles
+from walktimes import config
 
 
 def data_dir() -> Path:
@@ -21,6 +24,19 @@ def dataset_path(name: str) -> Path:
         pytest.skip(f"dataset {name} not present under {data_dir()} "
                     "(run scripts/fetch_datasets.py)")
     return p
+
+
+@pytest.fixture
+def bounds():
+    """``with bounds(field=value, ...):`` runs its block with those fields
+    of ``config.TOL`` replaced; every check reads ``config.TOL`` when it
+    runs."""
+    @contextlib.contextmanager
+    def swap(**fields):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(config, "TOL", dataclasses.replace(config.TOL, **fields))
+            yield
+    return swap
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import types
 
 import numpy as np
@@ -25,7 +24,6 @@ from walktimes import (
 )
 from walktimes import chains
 from walktimes.chains import _power_iteration, _solve_density
-from walktimes.config import TOL
 
 
 class TestUniformNodeChain:
@@ -351,7 +349,7 @@ class TestStationaryDensity:
                            match="2 strongly connected components"):
             stationary_density(ch)
 
-    def test_power_iteration_agrees(self):
+    def test_power_iteration_agrees(self, monkeypatch):
         # the fallback must match the direct solve, including on the
         # periodic directed cycle where plain iteration would oscillate
         cases = [
@@ -359,24 +357,31 @@ class TestStationaryDensity:
             uniform_node_chain(oracles.random_undirected(8, 6, 1)),
             nonbacktracking_edge_chain(oracles.complete_graph(5)),
         ]
-        for ch in cases:
-            direct = _solve_density(ch.matrix)
-            power = _power_iteration(ch.matrix.tocsr(), 1e-13)
-            assert np.allclose(direct, power, atol=1e-10)
+        direct = [_solve_density(ch.matrix) for ch in cases]
+        # every chain is over the threshold: power iteration is the only route
+        monkeypatch.setattr(chains, "_POWER_ITERATION_THRESHOLD", 0)
+        for ch, want in zip(cases, direct):
+            assert np.allclose(_solve_density(ch.matrix), want, atol=1e-10)
+            assert np.allclose(_power_iteration(ch.matrix.tocsr()), want, atol=1e-10)
 
-    def test_power_iteration_runs_at_most_once(self, k4, monkeypatch):
+    def test_power_iteration_runs_at_most_once(self, k4, monkeypatch, bounds):
         calls = []
 
-        def counted(P, tol):
-            calls.append(tol)
-            return _power_iteration(P, tol)
+        def counted(P):
+            calls.append(P.shape)
+            return _power_iteration(P)
         monkeypatch.setattr(chains, "_power_iteration", counted)
+        P = uniform_edge_chain(k4).matrix
         # power path only, and a residual bound no density can meet
-        tol = dataclasses.replace(TOL, power_iteration_threshold=0,
-                                  stationary_residual=-1.0)
-        with pytest.raises(ConvergenceError, match="failed validation"):
-            _solve_density(uniform_edge_chain(k4).matrix, tol=tol)
-        assert len(calls) == 1
+        monkeypatch.setattr(chains, "_POWER_ITERATION_THRESHOLD", 0)
+        with bounds(stationary_residual=-1.0), pytest.raises(ConvergenceError,
+                                                             match="failed validation"):
+            _solve_density(P)
+        assert calls == [(12, 12)]
+        # a step tolerance no iterate can meet: the iteration gives up
+        monkeypatch.setattr(chains, "_POWER_ITERATION_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match="power iteration did not converge"):
+            _power_iteration(P, max_iter=5)
 
 
 class TestValidation:

@@ -630,12 +630,12 @@ class TestExitCodes:
         assert err == "error: node 9 out of range\n"
 
     def test_hitting_over_the_dense_budget_stops_first(self, capsys, k4_file, monkeypatch):
-        # the classical matrix's 9 n^2 float64 arrays are formed before
+        # the classical matrix's 8 n^2 float64 arrays are formed before
         # the second-order solve: one byte over them, the command ends
         # with one line and solves nothing
         from walktimes import config
         from walktimes import secondorder as so
-        need = 9 * 4**2 * 8
+        need = 8 * 4**2 * 8
         monkeypatch.setattr(config, "_DENSE_BUDGET", need)
         assert run(capsys, "hitting", "--input", k4_file, "--undirected")[0] == 0
         monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
@@ -644,8 +644,8 @@ class TestExitCodes:
         for extra in ([], ["--target", "2"]):
             code, out, err = run(capsys, "hitting", "--input", k4_file, "--undirected", *extra)
             assert (code, out) == (2, "")
-            assert err == ("error: the time matrix of 4 states needs 1,152 bytes of dense "
-                           "arrays, over the budget of 1,151 bytes\n")
+            assert err == ("error: the time matrix of 4 states needs 1,024 bytes of dense "
+                           "arrays, over the budget of 1,023 bytes\n")
 
 
 class TestOutputFile:

@@ -56,3 +56,24 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         walktimes.no_such_name  # noqa: B018
     assert not hasattr(walktimes, "no_such_name")
+
+
+def test_no_tol_parameter_and_no_bound_bound_at_import():
+    """Every check reads ``config.TOL`` when it runs: no function, class
+    or method takes a ``tol``, and no module but ``config`` binds ``TOL``."""
+    mods = [importlib.import_module(f"walktimes.{info.name}")
+            for info in pkgutil.iter_modules(walktimes.__path__)]
+    takes_tol = []
+    for mod in mods:
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs = [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                         if inspect.isfunction(f)]
+            takes_tol += [f"{mod.__name__}.{label}" for label, f in funcs
+                          if "tol" in inspect.signature(f).parameters]
+        if mod.__name__ != "walktimes.config":
+            assert not {"TOL", "Tolerances"} & set(vars(mod)), mod.__name__
+    assert takes_tol == []

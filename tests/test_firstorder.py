@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -235,22 +233,21 @@ class TestHittingMatrix:
         assert tm.kappa_spread <= TOL.kemeny_spread
         assert np.array_equal(np.diag(tm.matrix), np.zeros(g.n))
 
-    def test_checks_run_on_the_result(self, petersen):
+    def test_checks_run_on_the_result(self, petersen, bounds):
         ch = uniform_node_chain(petersen)
         for field, message in (("kemeny_spread", "^density-weighted row means"),
                                ("t_matrix_residual", "^time matrix violates")):
-            strict = dataclasses.replace(TOL, **{field: -1.0})
-            with pytest.raises(InvariantViolation, match=message):
-                hitting_matrix(ch, tol=strict)
+            with bounds(**{field: -1.0}), pytest.raises(InvariantViolation, match=message):
+                hitting_matrix(ch)
 
     def test_size_cap(self, k33, petersen, monkeypatch):
-        # 9 n^2 float64 arrays at the peak: at that budget the matrix
+        # 8 n^2 float64 arrays at the peak: at that budget the matrix
         # forms, one byte under it the call stops before any solve or
         # dense array
         import walktimes._solvers as solvers
         from walktimes import config
         for ch in (uniform_node_chain(k33), nonbacktracking_edge_chain(petersen)):
-            need = 9 * ch.n_states**2 * 8
+            need = 8 * ch.n_states**2 * 8
             monkeypatch.setattr(config, "_DENSE_BUDGET", need)
             assert hitting_matrix(ch).kappa_spread <= 1e-8
             monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
@@ -324,18 +321,18 @@ class TestMinimality:
                 pytest.fail("value iteration did not converge")
             assert np.abs(x - sol.time[1:]).max() <= 1e-8
 
-    def test_rejected_direct_solve_raises_convergence_error(self, petersen):
+    def test_rejected_direct_solve_raises_convergence_error(self, petersen, bounds):
         from walktimes._solvers import reach_probabilities
         from walktimes.chains import Chain
         from walktimes.errors import ConvergenceError
-        strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
-        with pytest.raises(ConvergenceError, match="direct solve of the expected steps"):
-            mean_hitting_times(uniform_node_chain(petersen), [0], tol=strict)
         g, P = oracles.chance_digraph()
         ch = Chain(g, P, "nodes")
         target = np.arange(g.n) == 1
-        with pytest.raises(ConvergenceError, match="direct solve of the reach probabilities"):
-            reach_probabilities(ch.matrix, target, tol=strict)
+        with bounds(direct_solve_residual=-1.0):
+            with pytest.raises(ConvergenceError, match="direct solve of the expected steps"):
+                mean_hitting_times(uniform_node_chain(petersen), [0])
+            with pytest.raises(ConvergenceError, match="direct solve of the reach probabilities"):
+                reach_probabilities(ch.matrix, target)
         # the default tolerance accepts both solves
         assert reach_probabilities(ch.matrix, target).tolist() == [0.5, 1.0, 0.0, 1.0, 0.0]
 

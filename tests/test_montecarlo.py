@@ -192,6 +192,22 @@ class TestValidation:
         assert simulate_so_hitting(pdata, 2, 2, trials=7, seed=0) == WalkStats(0.0, 0.0, 7, 0)
         assert simulate_fo_hitting(ch, 1, {1, 3}, trials=7, seed=0) == WalkStats(0.0, 0.0, 7, 0)
 
+    def test_blocks_are_formed_as_they_run(self, k33, monkeypatch):
+        # 2**62 trials are 2**49 blocks, more than any memory holds as a
+        # list: the first block comes back alone, and the sweep's budget
+        # check reads only its size
+        from walktimes import config
+        from walktimes import montecarlo as mc
+        assert next(mc._block_sizes(2**62)) == mc.BLOCK
+        assert list(mc._block_sizes(2 * mc.BLOCK + 5)) == [mc.BLOCK, mc.BLOCK, 5]
+        assert list(mc._block_sizes(mc.BLOCK)) == [mc.BLOCK]
+        with pytest.raises(QueryError, match="trial count must be positive"):
+            mc._block_sizes(0)
+        monkeypatch.setattr(config, "_DENSE_BUDGET", 9 * mc.BLOCK * (k33.n + 1) - 1)
+        pdata = equilibrium_pullback(uniform_edge_chain(k33))
+        with pytest.raises(SizeCapError, match=f"^the visit times of {mc.BLOCK} walks"):
+            simulate_so_sweep(pdata, 0, 2**62, seed=2)
+
     def test_stderr_scale(self, c4):
         # NB walk from 0 to 1 takes 1 or 3 steps with equal chance, so
         # the population variance is exactly 1 and the standard error

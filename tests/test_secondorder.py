@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -219,13 +217,12 @@ class TestSecondOrderReturns:
         # where the identity holds the reducible walk still answers
         assert secondorder.return_times(pdata, [0, 1]).set_mean == pytest.approx(2.0)
 
-    def test_per_node_message_prints_plain_numbers(self, k4):
-        ch = downweighted_edge_chain(k4, 0.3)
-        tol = dataclasses.replace(TOL, return_agreement=-1.0)
-        with pytest.raises(InvariantViolation,
-                           match=r"^return time to node 0: formula gives [0-9.]+, "
-                                 r"reciprocal mass gives 4\.0$"):
-            secondorder.return_times(pullback_of(ch), [0], tol=tol)
+    def test_per_node_message_prints_plain_numbers(self, k4, bounds):
+        pdata = pullback_of(downweighted_edge_chain(k4, 0.3))
+        with bounds(return_agreement=-1.0), pytest.raises(
+                InvariantViolation, match=r"^return time to node 0: formula gives [0-9.]+, "
+                                          r"reciprocal mass gives 4\.0$"):
+            secondorder.return_times(pdata, [0])
 
 
 class TestSecondOrderHittingMatrix:
@@ -237,7 +234,7 @@ class TestSecondOrderHittingMatrix:
 
     @pytest.mark.parametrize("graph", ["random_undirected", "random_digraph"])
     @pytest.mark.parametrize("walk", ["uniform", "nb", "dw:0.3", "tensor"])
-    def test_routes_agree_on_every_walk_kind(self, graph, walk):
+    def test_routes_agree_on_every_walk_kind(self, graph, walk, bounds):
         g = (oracles.random_undirected(10, 8, 4) if graph == "random_undirected"
              else oracles.random_digraph(9, 12, 4))   # no dangling edges
         ch = {"uniform": uniform_edge_chain,
@@ -250,9 +247,9 @@ class TestSecondOrderHittingMatrix:
         T = secondorder.hitting_matrix(pdata)
         assert np.abs(T - lifted).max() <= 1e-8
         # the check lives inside: a negative tolerance makes it fire
-        strict = dataclasses.replace(TOL, route_agreement=-1.0)
-        with pytest.raises(InvariantViolation, match="^hitting matrix routes disagree by "):
-            secondorder.lifted_hitting_matrix(pdata, tol=strict)
+        with bounds(route_agreement=-1.0), pytest.raises(
+                InvariantViolation, match="^hitting matrix routes disagree by "):
+            secondorder.lifted_hitting_matrix(pdata)
 
     def test_zero_diagonal_exact(self, petersen):
         ch = downweighted_edge_chain(petersen, 0.2)
@@ -299,12 +296,12 @@ class TestSecondOrderHittingMatrix:
         assert np.abs(secondorder.hitting_matrix(pdata) - lifted).max() <= 1e-8
 
     def test_size_cap_on_lifted_route(self, petersen, monkeypatch):
-        # the edge time matrix's 9 m^2 float64 arrays are the route's
+        # the edge time matrix's 8 m^2 float64 arrays are the route's
         # peak: one byte under them it stops before any solve or inverse,
         # while the node-space matrix, its base included, still fits
         ch = nonbacktracking_edge_chain(petersen)
         pdata = pullback_of(ch)
-        need = 9 * ch.n_states**2 * 8
+        need = 8 * ch.n_states**2 * 8
         monkeypatch.setattr(config, "_DENSE_BUDGET", need)
         assert secondorder.lifted_hitting_matrix(pdata).shape == (10, 10)
         monkeypatch.setattr(config, "_DENSE_BUDGET", need - 1)
@@ -435,7 +432,7 @@ class TestReachSolveOnlyOnReducibleChains:
             assert (dense, calls) == (([g.n], []) if inverted else ([], [g.n]))
             assert np.all(np.isfinite(T))
         # the classical matrix takes one dense fundamental matrix, whose
-        # 9 n^2 arrays the sparse route's budget does not hold
+        # 8 n^2 arrays the sparse route's budget does not hold
         with pytest.raises(SizeCapError):
             hitting_matrix(uniform_node_chain(g))
         monkeypatch.setattr(config, "_DENSE_BUDGET", SHIPPED_BUDGET)
@@ -648,27 +645,28 @@ class TestNodeSpaceRoute:
                 assert np.all(np.abs(time - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
             assert np.allclose(T[:, k], pdata.first_step_matrix @ few[k], rtol=1e-12, atol=0)
 
-    def test_sets_solved_in_blocks_keep_their_own_digits(self, petersen, monkeypatch):
+    def test_sets_solved_in_blocks_keep_their_own_digits(self, petersen, monkeypatch, bounds):
         # every node, sets of several sizes, a half-node set (on the sparse
         # route, past the Woodbury limit) and a set whose edges all touch
         # it; chains off the node route too. On either base the digits are
         # those of the set solved alone under the same block width: the
         # dense base's products take the shape of a whole block
         import walktimes._solvers as solvers
-        # the strict tolerance rejects every node-space result: its sets
-        # take chain_steps, at the default tolerance
-        strict = dataclasses.replace(TOL, direct_solve_residual=-1.0)
         node_space = solvers._node_space_steps
+
+        def rejecting(chain, in_S, sets):
+            # a strict bound inside the node-space solve alone rejects
+            # every result: its sets take chain_steps, at the default bound
+            with bounds(direct_solve_residual=-1.0):
+                return node_space(chain, in_S, sets)
         for _, budget in budgets():
             monkeypatch.setattr(config, "_DENSE_BUDGET", budget)
             big = oracles.random_undirected(120, 240, 1)
             chains = [nonbacktracking_edge_chain(big), downweighted_edge_chain(petersen, 0.3),
                       uniform_edge_chain(oracles.path_graph(3)), random_tensor_chain(petersen, 5),
                       nonbacktracking_edge_chain(oracles.cycle_graph(4))]
-            for ch, tol in [(ch, TOL) for ch in chains] + [(chains[1], strict)]:
-                monkeypatch.setattr(solvers, "_node_space_steps",
-                                    lambda chain, in_S, sets, _, tol=tol:
-                                    node_space(chain, in_S, sets, tol))
+            for ch, solve in [(ch, node_space) for ch in chains] + [(chains[1], rejecting)]:
+                monkeypatch.setattr(solvers, "_node_space_steps", solve)
                 n = ch.graph.n
                 sets = [(k,) for k in range(n)] + [(0, n - 1), tuple(range(0, n, 2))]
                 for block in (solvers._BLOCK, 3):   # blocks as shipped, then three sets a block
@@ -813,7 +811,7 @@ class TestEdgeChainReturnCrossCheck:
             for _ in range(4):
                 S = sorted(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False))
                 x = node_target_steps(ch, S)[0]
-                got = secondorder._return_time(pdata, S, x, "S", TOL)
+                got = secondorder._return_time(pdata, S, x, "S")
                 in_edges = np.flatnonzero(np.isin(g.dst, S))
                 want = edge_return_times(ch, in_edges, pi=pdata.edge_density).set_mean
                 assert got == pytest.approx(want, rel=1e-12)
