@@ -11,9 +11,11 @@ Monte Carlo sampler.
 
 Importing the package loads none of its submodules: each public name
 is imported from the submodule that defines it on first use. Graphs
-need numpy alone, and so do the built-in walks on undirected graphs,
-their pullbacks, their node-space queries and their samples; tensor
-walks, sparse factorizations and density solves import scipy.
+and chain construction need numpy alone, and so do the built-in walks
+on undirected graphs, tensor walks of the same form, their pullbacks,
+their node-space queries and their samples; sparse factorizations
+(the edge-state route of every other chain) and density solves
+import scipy.
 """
 
 import importlib

@@ -33,7 +33,8 @@ reach LU only when some state reaches the target by chance.
 
 ``node_target_steps`` answers the second-order question "how long
 until the walk visits the node set S" in node space when it can. The
-built-in edge chains (``uniform``, ``nb``, ``dw:alpha``) have the form
+built-in edge chains (``uniform``, ``nb``, ``dw:alpha``), and tensor
+walks with the same kind of weights, have the form
 
     P = diag(c) H T' - diag(d) J
 
@@ -260,13 +261,12 @@ def _pair_form(chain):
     support with one common probability c_e. ``rev`` is the index of
     each edge's reversal, -1 where it is not an edge (d is 0 there).
     A row whose only continuation is its reversal takes
-    c = P[e, rev e], so d = 0. The chain's arrays must be canonical.
+    c = P[e, rev e], so d = 0. The chain's arrays are canonical, so
+    each support entry is stored once.
     """
     g = chain.graph
     m = g.m
     rows = _csr_rows(chain.indptr)
-    if ((np.diff(chain.indices) <= 0) & (rows[1:] == rows[:-1])).any():
-        return None
     rev = _reversals(g)
     back = chain.indices == rev[rows]
     on = ~back

@@ -10,17 +10,18 @@ which set it runs on.
 
 A chain holds its transition matrix as compressed sparse row arrays,
 ``indptr``, ``indices`` and ``data``, with 64-bit floats and rows
-summing to one. Built the way scipy.sparse builds a matrix from
-triplets or a dense array, they are canonical: sorted columns, exact
-zeros dropped, duplicates summed. A scipy matrix keeps its stored
-order. A product with such arrays (``_csr_dot``, ``_csr_tdot``) adds
-the stored entries one at a time, in stored order, starting from 0:
-the order of scipy's CSR kernels, so its results are bitwise theirs.
-The built-in walks, their pullbacks and every query on the node route
-compute with numpy alone. scipy.sparse is imported for tensor walks,
-the sparse factorizations, the density solve, csgraph, chain files,
-products of at least ``_COMPILED_WORK`` multiply-adds, and the public
-view ``Chain.matrix``, built on first access.
+summing to one. Whatever the input (triplets, a dense array or a
+scipy matrix), they are canonical, built the way scipy.sparse builds
+a matrix from triplets: sorted columns, duplicates summed, exact
+zeros dropped. A product with such arrays (``_csr_dot``,
+``_csr_tdot``) adds the stored entries one at a time, in stored
+order, starting from 0: the order of scipy's CSR kernels, so its
+results are bitwise theirs. Every chain builder, the pullbacks and
+every query on the node route compute with numpy alone. scipy.sparse
+is imported for the sparse factorizations, the density solve,
+csgraph, chain files, products of at least ``_COMPILED_WORK``
+multiply-adds, and the public view ``Chain.matrix``, built on first
+access.
 """
 
 from __future__ import annotations
@@ -123,18 +124,14 @@ def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 def _csr_arrays(matrix, n: int, what: str):
-    """A chain's CSR arrays (indptr, indices, data) from a scipy matrix,
-    triplets ``(data, (rows, cols))`` or a dense array: exact zeros
-    dropped, and, but for a scipy matrix, which keeps its stored order,
-    canonical."""
-    if hasattr(matrix, "tocsr"):   # scipy.sparse, hence already imported
-        import scipy.sparse as sp
-
-        P = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-        P.eliminate_zeros()
-        if P.shape != (n, n):
+    """A chain's canonical CSR arrays (indptr, indices, data) from a
+    scipy matrix, triplets ``(data, (rows, cols))`` or a dense array:
+    columns sorted, duplicates summed, exact zeros dropped."""
+    if hasattr(matrix, "tocoo"):   # scipy.sparse: its triplets, in any order
+        if matrix.shape != (n, n):
             raise ChainError(f"transition matrix shape does not match {what} count")
-        return P.indptr.astype(np.int64), P.indices.astype(np.int64), P.data
+        coo = matrix.tocoo()
+        matrix = (coo.data, (coo.row, coo.col))
     if isinstance(matrix, tuple):
         vals, (rows, cols) = matrix
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
@@ -422,11 +419,8 @@ def edge_chain_from_tensor(g: Graph, probs) -> Chain:
         rows.append(e)
         cols.append(f)
         vals.append(p)
-    import scipy.sparse as sp
-
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(g.m, g.m))
-    P.sum_duplicates()
-    sums = np.asarray(P.sum(axis=1)).ravel()
+    P = _from_triplets(rows, cols, vals, (g.m, g.m))
+    sums = _row_sums(P)
     # negated so that a nan sum counts as bad
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= config.TOL.density_residual))
     if bad.size:
@@ -434,9 +428,10 @@ def edge_chain_from_tensor(g: Graph, probs) -> Chain:
         raise ChainError(
             f"probabilities for edge {g.edges[e]} sum to {float(sums[e])!r}, expected 1"
         )
-    # renormalize the tiny slack so construction-time row checks pass exactly
-    scale = sp.diags(1.0 / sums)
-    return Chain(g, scale @ P, "edges", kind="tensor")
+    # renormalize the tiny slack so construction-time row checks pass
+    # exactly, multiplying by the reciprocal as a diagonal scaling does
+    rows = _csr_rows(P.indptr)
+    return Chain(g, (P.data * (1.0 / sums)[rows], (rows, P.indices)), "edges", kind="tensor")
 
 
 def transition_tensor(chain: Chain) -> dict[tuple[int, int, int], float]:

@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target node label (hitting)")
     p.add_argument("--trials", type=_at_least_one, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=_at_least_one, default=config.TOL.simulation_step_cap)
+    p.add_argument("--cap", type=_at_least_one, default=config.SIMULATION_STEP_CAP)
     _add_output_args(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walk", default="nb", help=WALK_HELP)
     p.add_argument("--trials", type=_at_least_one, default=20_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=_at_least_one, default=config.TOL.simulation_step_cap)
+    p.add_argument("--cap", type=_at_least_one, default=config.SIMULATION_STEP_CAP)
     _add_output_args(p)
     p.set_defaults(func=cmd_validate)
 

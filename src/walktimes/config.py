@@ -4,6 +4,7 @@ Every identity, residual and route check compares against one field
 of ``TOL``, so every bound lives in one place. Each check reads
 ``config.TOL`` when it runs: replacing ``TOL`` (for instance with
 ``dataclasses.replace``) changes the bound of every later check.
+``SIMULATION_STEP_CAP`` and ``OUTPUT_DIGITS`` are defaults, not bounds.
 
 Dense memory has one cap, in bytes: ``_dense_fits`` holds every dense
 array sized by a product of two problem sizes (states, nodes, walks),
@@ -44,9 +45,6 @@ class Tolerances:
     access_spread: float = 1e-9         # per-edge return times constant per node
     pullback_entry: float = 1e-12       # pullback chain entries
 
-    # size caps
-    simulation_step_cap: int = 1_000_000
-
 
 TOL = Tolerances()
 
@@ -69,6 +67,10 @@ def _dense_fits(nbytes: int, what: str | None = None) -> bool:
 
 # number of significant digits in user-facing numeric output
 OUTPUT_DIGITS = 12
+
+# steps a simulated walk may take before it counts as censored: the
+# default of ``--cap`` and ``cap=``, not a check bound
+SIMULATION_STEP_CAP = 1_000_000
 
 
 def fmt(x: float) -> str:

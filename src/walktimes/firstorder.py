@@ -24,9 +24,9 @@ import numpy as np
 from . import config
 from ._solvers import chain_steps, reach_probabilities
 from .chains import (
+    _CSR,
     _csr_dot,
     _csr_rows,
-    _from_triplets,
     check_irreducible,
     stationary_density,
 )
@@ -231,9 +231,8 @@ def hitting_matrix(chain, pi=None) -> TimeMatrix:
     # the correction solves (I - P) D = R with zero diagonal; each
     # column's diagonal entry, the return equation, is redundant, so
     # it is set to keep the column orthogonal to pi and solvable
-    # in extended precision, entries sorted as scipy's astype sorts them
-    wide = _from_triplets(_csr_rows(chain.indptr), chain.indices,
-                          chain.data.astype(np.longdouble), chain.shape)
+    # in extended precision
+    wide = _CSR(chain.indptr, chain.indices, chain.data.astype(np.longdouble), chain.shape)
     R = _time_residual(wide, T.astype(np.longdouble), pi)
     R[np.diag_indices(n)] = np.diag(R) - (pi @ R) / pi
     D = Z @ R.astype(np.float64)

@@ -55,7 +55,6 @@ def save_chain(chain, base: str) -> tuple[str, str]:
 def load_chain(base: str):
     """Read a chain written by ``save_chain``."""
     import scipy.io
-    import scipy.sparse as sp
 
     from .chains import Chain
 
@@ -74,7 +73,7 @@ def load_chain(base: str):
         undirected=doc["undirected"],
         labels=doc["labels"],
     )
-    M = sp.csr_matrix(scipy.io.mmread(mtx_path))
+    M = scipy.io.mmread(mtx_path)
     density = doc.get("density")
     density = None if density is None else np.asarray(density, dtype=np.float64)
     return Chain(g, M, doc["states"], density=density, kind=doc["kind"])

@@ -97,7 +97,8 @@ class _RowSampler:
     """
 
     def __init__(self, P):
-        """P: a ``Chain`` or a scipy CSR matrix, rows in stored order."""
+        """P: a ``Chain`` or a scipy CSR matrix. Each row's cumulative
+        sums run in stored order, for a chain ascending column order."""
         self.indptr = P.indptr.astype(np.int64)
         self.indices = P.indices.astype(np.int64)
         rowlen = np.diff(self.indptr)
@@ -212,7 +213,7 @@ def _first_passage(chain, start, t0, stop, trials, seed, cap) -> WalkStats:
 
 
 def simulate_so_hitting(pdata, source, target, trials,
-                        seed, cap: int = config.TOL.simulation_step_cap) -> WalkStats:
+                        seed, cap: int = config.SIMULATION_STEP_CAP) -> WalkStats:
     """Empirical mean steps of the walk from one node to another.
 
     The first step leaves ``source`` along the start distribution of
@@ -225,7 +226,7 @@ def simulate_so_hitting(pdata, source, target, trials,
 
 
 def simulate_so_return(pdata, node, trials,
-                       seed, cap: int = config.TOL.simulation_step_cap) -> WalkStats:
+                       seed, cap: int = config.SIMULATION_STEP_CAP) -> WalkStats:
     """Empirical mean steps of the walk from a node back to itself."""
     return _node_walks(pdata, node, node, trials, seed, cap)
 
@@ -240,7 +241,7 @@ def _node_walks(pdata, source, target, trials, seed, cap) -> WalkStats:
 
 
 def simulate_so_sweep(pdata, source, trials, seed,
-                      cap: int = config.TOL.simulation_step_cap):
+                      cap: int = config.SIMULATION_STEP_CAP):
     """One batch of walks measuring everything at once from a source.
 
     Each walk records its first visit time to every node and its first
@@ -295,7 +296,7 @@ def simulate_so_sweep(pdata, source, trials, seed,
 
 
 def simulate_fo_hitting(chain, source, targets, trials,
-                        seed, cap: int = config.TOL.simulation_step_cap) -> WalkStats:
+                        seed, cap: int = config.SIMULATION_STEP_CAP) -> WalkStats:
     """Empirical mean steps of a first-order chain into a state set."""
     n = chain.n_states
     mark = _target_mask(n, targets)

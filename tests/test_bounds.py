@@ -88,7 +88,7 @@ VERDICTS = {
 
 
 def test_every_check_bound_is_covered():
-    checks = {f.name for f in dataclasses.fields(Tolerances)} - {"simulation_step_cap"}
+    checks = {f.name for f in dataclasses.fields(Tolerances)}
     assert len(checks) == 16
     assert RAISES.keys() | VERDICTS.keys() == checks
     assert not RAISES.keys() & VERDICTS.keys()

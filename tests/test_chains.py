@@ -162,12 +162,12 @@ class TestTensorChain:
     def test_uniform_tensor_round_trip(self, k4):
         ch = uniform_edge_chain(k4)
         back = edge_chain_from_tensor(k4, transition_tensor(ch))
-        assert np.array_equal(back.matrix.toarray(), ch.matrix.toarray())
+        assert same_arrays(back, ch)
 
     def test_nb_tensor_round_trip(self, c4):
         ch = nonbacktracking_edge_chain(c4)
         back = edge_chain_from_tensor(c4, transition_tensor(ch))
-        assert np.array_equal(back.matrix.toarray(), ch.matrix.toarray())
+        assert same_arrays(back, ch)
 
     def test_concentrated_tensor(self, c4):
         # all mass on the non-backtracking successor: a permutation chain
@@ -495,16 +495,26 @@ class TestArrayProducts:
             x = wide_values(rng, ch.n_states)
             X = wide_values(rng, (ch.n_states, 5))
             XL = X.astype(np.longdouble) * (1 + np.longdouble(2.0**-60))
-            wide = P.astype(np.longdouble)   # scipy sorts a chain's entries here
+            wide = P.astype(np.longdouble)
             assert np.array_equal(chains._csr_dot(ch, x), P @ x), name
             assert np.array_equal(chains._csr_dot(ch, X), P @ X), name
             assert np.array_equal(chains._csr_tdot(ch, x), P.T @ x), name
             assert np.array_equal(chains._row_sums(ch), np.asarray(P.sum(axis=1)).ravel()), name
-            arrays = chains._from_triplets(chains._csr_rows(ch.indptr), ch.indices,
-                                           ch.data.astype(np.longdouble), ch.shape)
+            arrays = chains._CSR(ch.indptr, ch.indices, ch.data.astype(np.longdouble), ch.shape)
             assert same_arrays(arrays, wide), name
             assert np.array_equal(chains._csr_dot(arrays, XL), wide @ XL), name
         assert kinds == {"classical", *PRODUCT_WALKS}
+
+    def test_every_chain_is_canonical(self, tmp_path):
+        # columns strictly increasing within each row and no stored zero,
+        # whatever built the chain, and kept through a chain file
+        from walktimes.io import load_chain, save_chain
+        for name, ch in walk_chains():
+            rows = chains._csr_rows(ch.indptr)
+            assert not ((np.diff(ch.indices) <= 0) & (rows[1:] == rows[:-1])).any(), name
+            assert (ch.data != 0).all(), name
+            save_chain(ch, str(tmp_path / "chain"))
+            assert same_arrays(load_chain(str(tmp_path / "chain")), ch), name
 
     def test_edge_residual_equals_scipy(self):
         import scipy.sparse as sp
@@ -581,14 +591,15 @@ class TestArrayProducts:
         want.eliminate_zeros()
         for given in (want.copy(), dense, (vals3, (rows3, cols3))):
             assert same_arrays(Chain(k4, given, "nodes"), want)
-        # a scipy matrix keeps its stored order, its zeros dropped, and is not modified
+        # a scipy matrix with every row reversed, row 0's first column
+        # stored twice as two halves and an explicit zero ending row 3
+        # gives the same canonical arrays, and is not modified
         order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(want.indptr, want.indptr[1:])])
-        stored = sp.csr_matrix((np.append(want.data[order], 0.0),
-                                np.append(want.indices[order], 3), want.indptr + [0, 0, 0, 0, 1]),
-                               shape=(4, 4))
+        data, indices = want.data[order], want.indices[order]
+        data = np.concatenate([[data[2] / 2], data[:2], [data[2] / 2], data[3:], [0.0]])
+        indices = np.concatenate([[indices[2]], indices, [3]])
+        stored = sp.csr_matrix((data, indices, want.indptr + [0, 1, 1, 1, 2]), shape=(4, 4))
+        assert not stored.has_sorted_indices
         before = stored.copy()
-        ch = Chain(k4, stored, "nodes")
-        kept = stored.copy()
-        kept.eliminate_zeros()
-        assert same_arrays(ch, kept) and same_arrays(stored, before)
-        assert not np.array_equal(ch.indices, want.indices)
+        assert same_arrays(Chain(k4, stored, "nodes"), want)
+        assert same_arrays(stored, before)

@@ -44,6 +44,33 @@ def path_file(tmp_path):
     return str(p)
 
 
+def load_transcript():
+    """``scripts/cli_transcript.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("cli_transcript", TRANSCRIPT)
+    transcript = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(transcript)
+    return transcript
+
+
+def uneven_steps_file(tmp_path, g):
+    """The transcript's uneven tensor walk on g, which has no pair form,
+    as a step-probability file."""
+    edges = [(g.labels[i], g.labels[j]) for i, j in g.edges]
+    path = tmp_path / "uneven.steps"
+    path.write_text("\n".join(load_transcript().tensor_lines(edges)) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def classical_steps_file(tmp_path, g):
+    """The classical walk on g as a step-probability file."""
+    path = tmp_path / "classical.steps"
+    path.write_text("".join(f"{g.labels[i]} {g.labels[j]} {g.labels[k]} "
+                            f"{1 / int(g.out_degree[j])!r}\n"
+                            for i, j in g.edges for k in g.dst[g.out_edges(j)]),
+                    encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -133,9 +160,7 @@ class TestHitting:
         target's row of the full table from one second-order column, without
         the second-order matrix."""
         from walktimes import secondorder as so
-        spec = importlib.util.spec_from_file_location("cli_transcript", TRANSCRIPT)
-        transcript = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(transcript)
+        transcript = load_transcript()
         matrix = so.hitting_matrix
 
         def no_matrix(*args, **kwargs):
@@ -605,13 +630,10 @@ class TestExitCodes:
 
     def test_rejected_direct_solve_maps_to_three(self, capsys, k4_file, tmp_path,
                                                  monkeypatch):
-        # a tensor walk solves over its edge states: a solve rejected by
-        # its validation ends the command, with no fallback
+        # a tensor walk without the pair form solves over its edge states:
+        # a solve rejected by its validation ends the command, with no fallback
         import walktimes._solvers as solvers
-        walk = tmp_path / "uniform.txt"
-        walk.write_text("".join(f"{i} {j} {k} 0.333333333333333333\n"
-                                for i in range(4) for j in range(4) for k in range(4)
-                                if len({i, j}) == 2 and k != j))
+        walk = uneven_steps_file(tmp_path, read_graph(k4_file, undirected=True))
         monkeypatch.setattr(solvers, "_direct_solve", lambda *args: None)
         code, out, err = run(capsys, "hitting", "--input", k4_file, "--undirected",
                              "--walk", f"tensor:{walk}")
@@ -769,28 +791,40 @@ class TestStartup:
         ["hitting", "--walk", "uniform"],
     ], ids=["validate", "simulate-order-1", "tensor", "directed"])
     def test_other_routes_load_scipy(self, tmp_path, argv):
-        # validate and first-order simulation factor sparse systems, a
-        # tensor walk (here the classical one) has no node-space form, and
-        # the walk on a directed graph solves for its density
+        # validate and first-order simulation factor sparse systems, an
+        # uneven tensor walk has no node-space form, and the walk on a
+        # directed graph solves for its density
         if "--undirected" not in argv:
             path = tmp_path / "digraph.edges"
             path.write_text("".join(f"{i} {j}\n" for i, j in oracles.random_digraph(12, 12, 1).edges),
                             encoding="utf-8")
         else:
             path = core_file(tmp_path, 12)
-            g = read_graph(path, undirected=True)
-            steps = tmp_path / "core12.steps"
-            steps.write_text("".join(f"{g.labels[i]} {g.labels[j]} {g.labels[k]} "
-                                     f"{1 / int(g.out_degree[j])!r}\n"
-                                     for i, j in g.edges for k in g.dst[g.out_edges(j)]),
-                             encoding="utf-8")
-            argv = [a.replace("STEPS", str(steps)) for a in argv]
+            steps = uneven_steps_file(tmp_path, read_graph(path, undirected=True))
+            argv = [a.replace("STEPS", steps) for a in argv]
         child = ("import json, sys\n"
                  "from walktimes.cli import main\n"
                  "code = main(sys.argv[1:])\n"
                  f"print(json.dumps([code, 'scipy.sparse' in {LOADED_SCIPY}]))")
         done = fresh("-c", child, *argv, "--input", str(path))
         assert done.stdout.splitlines()[-1] == json.dumps([0, True]), done.stderr
+
+    def test_classical_walk_as_tensor_file_loads_no_scipy(self, capsys, k4_file, tmp_path):
+        # its weights have the pair form, so it takes the node route; on
+        # K4 every row sum is exact and it prints the bytes of --walk uniform
+        child = ("import json, sys\n"
+                 "from walktimes.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 f"print(json.dumps([code, {LOADED_SCIPY}]))")
+        for path in (k4_file, core_file(tmp_path)):
+            steps = classical_steps_file(tmp_path, read_graph(path, undirected=True))
+            args = ["hitting", "--input", path, "--undirected", "--walk", f"tensor:{steps}"]
+            done = fresh("-c", child, *args)
+            *out, loaded = done.stdout.splitlines(keepends=True)
+            assert loaded == json.dumps([0, []]) + "\n", done.stderr
+            if path == k4_file:
+                assert "".join(out) == run(capsys, "hitting", "--input", path, "--undirected",
+                                           "--walk", "uniform")[1]
 
     def test_validate_still_loads_them(self, k4_file, c4_file):
         child = ("import json, sys\n"

@@ -45,8 +45,8 @@ def test_package_option_counts(capsys):
     assert code_lines.main([]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[-3].split() == ["walktimes.__all__", "names", "54"]
-    assert rows[-2].split() == ["Tolerances", "fields", "17"]
-    assert rows[-1].split() == ["defaulted", "parameters", "36"]
+    assert rows[-2].split() == ["Tolerances", "fields", "16"]
+    assert rows[-1].split() == ["defaulted", "parameters", "35"]
 
 
 def test_plain_directory_has_no_option_counts(tmp_path):

@@ -22,6 +22,7 @@ from walktimes import (
 )
 from walktimes import config, secondorder
 from walktimes._solvers import (
+    _NodeSystem,
     _node_sets_steps,
     _node_system,
     chain_steps,
@@ -350,6 +351,19 @@ class TestRandomTarget:
 def random_tensor_chain(g, seed):
     """Tensor walk with random positive weights on every next step."""
     return edge_chain_from_tensor(g, oracles.random_step_weights(g, seed))
+
+
+def tensor_file_chain(ch):
+    """The walk of the edge chain ch written as a step-probability file, as
+    ``--walk tensor:FILE`` reads it back."""
+    import io
+
+    from walktimes.chains import transition_tensor
+    from walktimes.io import load_transition_file
+    g = ch.graph
+    text = "".join(f"{g.labels[i]} {g.labels[j]} {g.labels[k]} {p!r}\n"
+                   for (i, j, k), p in transition_tensor(ch).items())
+    return edge_chain_from_tensor(g, load_transition_file(io.StringIO(text), g))
 
 
 def count_splu(monkeypatch):
@@ -737,6 +751,31 @@ class TestNodeSpaceRoute:
             x[interior] = inner
             want = pdata.first_step_matrix @ x
             assert np.all(np.abs(T[:, k] - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("graph, walk", [
+        ("k4", uniform_edge_chain),
+        ("petersen", nonbacktracking_edge_chain),
+        ("c4", nonbacktracking_edge_chain),
+    ])
+    def test_built_in_walk_as_tensor_file_has_the_pair_form(self, graph, walk, request):
+        # every row sum is exact, so the tensor chain holds the built-in
+        # chain's arrays and its node route gives the same digits
+        ch = walk(request.getfixturevalue(graph))
+        tensor = tensor_file_chain(ch)
+        assert isinstance(_node_system(tensor), _NodeSystem)
+        assert np.array_equal(secondorder.hitting_matrix(pullback_of(tensor)),
+                              secondorder.hitting_matrix(pullback_of(ch)))
+
+    def test_inexact_row_sums_still_take_the_node_route(self, monkeypatch):
+        # 6 x (1/6) does not sum to exactly 1: the rescaled rows differ
+        # from the built-in chain's in the last bits but keep the pair form
+        ch = uniform_edge_chain(oracles.random_undirected(12, 24, 1))
+        tensor = tensor_file_chain(ch)
+        assert not np.array_equal(tensor.data, ch.data)
+        self.no_edge_route(monkeypatch)
+        got = secondorder.hitting_matrix(pullback_of(tensor))
+        want = secondorder.hitting_matrix(pullback_of(ch))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_other_chains_take_edge_route(self, c4, petersen, monkeypatch):
         import walktimes._solvers as solvers
