@@ -247,12 +247,13 @@ class Chain:
     e -> f needs ter(e) = sou(f).
 
     ``density`` is the chain's invariant density, and the chain is
-    the one place that decides it: a supplied density is validated
+    the one place that holds it: a supplied density is validated
     against ``TOL.density_residual``; without one, the uniform density
     is taken when its balance residual meets
     ``TOL.stationary_residual``, the bound a solved density must meet
     (exact for every built-in edge walk on an undirected graph);
-    otherwise it is None and ``stationary_density`` solves for it.
+    otherwise it is None until ``stationary_density`` solves it, once,
+    and stores the result here.
     """
 
     def __init__(self, graph: Graph, matrix, states: str, density=None,
@@ -504,15 +505,16 @@ def stationary_density(chain) -> np.ndarray:
 
     A reducible chain raises ``ReducibleChainError`` with its strongly
     connected components, even when it carries a density. Otherwise
-    the chain's own ``density`` is returned, and only a chain without
-    one is solved (``_solve_density``).
+    the chain's own ``density`` is returned; a chain without one is
+    solved (``_solve_density``) and keeps the result as its
+    ``density``, so each chain is solved at most once.
     """
     irr, comps = check_irreducible(chain)
     if not irr:
         raise ReducibleChainError(comps, what=f"{chain.states[:-1]} chain")
-    if chain.density is not None:
-        return chain.density
-    return _solve_density(chain.matrix)
+    if chain.density is None:
+        chain.density = _solve_density(chain.matrix)
+    return chain.density
 
 
 def _solve_density(P) -> np.ndarray:

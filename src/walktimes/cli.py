@@ -248,10 +248,13 @@ def cmd_alpha_sweep(args) -> int:
         T = so.hitting_matrix(pdata)
         return T.sum(axis=0) / g.n
 
+    # one solve per distinct weight: a repeated one, or -0 beside 0,
+    # finds its means under the same key
     means = {}
-    for alpha in grid:
-        means[alpha] = column_means(alpha)
-    base = means[1.0] if 1.0 in means else column_means(1.0)
+    for alpha in grid + [1.0]:
+        if alpha not in means:
+            means[alpha] = column_means(alpha)
+    base = means[1.0]
 
     rows = []
     summary = []

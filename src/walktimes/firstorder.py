@@ -23,13 +23,7 @@ import numpy as np
 
 from . import config
 from ._solvers import chain_steps, reach_probabilities
-from .chains import (
-    _CSR,
-    _csr_dot,
-    _csr_rows,
-    check_irreducible,
-    stationary_density,
-)
+from .chains import _CSR, _csr_dot, _csr_rows, stationary_density
 from .errors import InvariantViolation, QueryError
 
 __all__ = [
@@ -126,23 +120,6 @@ def mean_hitting_times(chain, S) -> HittingSolution:
     )
 
 
-def _entry_times(chain, mask) -> np.ndarray:
-    """Expected steps to S per state, all of which must be finite.
-
-    An invariant density does not make the chain irreducible: a
-    reducible bistochastic chain carries the uniform density. So the
-    reach solve is skipped only when the chain is irreducible; on a
-    reducible chain it marks the states that miss S, and any such
-    state fails the identity the caller is about to check.
-    """
-    time, finite, _ = chain_steps(chain, mask)
-    if not finite.all():
-        raise InvariantViolation(
-            "hitting time is infinite: some state never reaches the target set"
-        )
-    return time
-
-
 def _singleton_columns(chain, states) -> np.ndarray:
     """Column c holds the expected steps to the single state states[c]."""
     n = chain.n_states
@@ -150,23 +127,24 @@ def _singleton_columns(chain, states) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     for c, k in enumerate(states):
         mask[k] = True
-        cols[:, c] = _entry_times(chain, mask)
+        cols[:, c] = chain_steps(chain, mask)[0]
         mask[k] = False
     return cols
 
 
-def return_times(chain, S, pi=None) -> ReturnData:
+def return_times(chain, S) -> ReturnData:
     """Mean time to come back to the set S, started inside it.
 
     For each i in S the one-step shift gives
     tau_plus_i = 1 + sum_j P_ij tau_j with tau the hitting times of S.
     The density-weighted mean over S must equal the reciprocal of the
-    invariant mass of S; the identity is enforced here.
+    invariant mass of S; the identity is enforced here. The density is
+    ``stationary_density(chain)``, so a reducible chain raises
+    ``ReducibleChainError`` before any solve.
     """
-    if pi is None:
-        pi = stationary_density(chain)
+    pi = stationary_density(chain)
     mask = _target_mask(chain.n_states, S)
-    tau = _entry_times(chain, mask)
+    tau = chain_steps(chain, mask)[0]
     idx = np.flatnonzero(mask)
     tau_plus = 1.0 + (chain.matrix[idx] @ tau)
     mass = float(pi[idx].sum())
@@ -193,7 +171,7 @@ def _time_residual(P, T, pi) -> np.ndarray:
     return R
 
 
-def hitting_matrix(chain, pi=None) -> TimeMatrix:
+def hitting_matrix(chain) -> TimeMatrix:
     """Dense matrix of expected travel times between all state pairs.
 
     Column k holds the expected steps to reach k. Every column comes
@@ -205,7 +183,9 @@ def hitting_matrix(chain, pi=None) -> TimeMatrix:
     row means agree across rows (the random target identity) and the
     matrix satisfies its defining linear equation with zero diagonal.
     A matrix whose arrays would not fit the dense byte budget raises
-    ``SizeCapError`` before anything is allocated.
+    ``SizeCapError`` before anything is allocated, and a reducible
+    chain, some column of which is infinite, raises
+    ``ReducibleChainError`` (``stationary_density``) before the inverse.
     """
     n = chain.n_states
     # eight n x n float64 arrays at the peak, the extended-precision
@@ -214,13 +194,7 @@ def hitting_matrix(chain, pi=None) -> TimeMatrix:
     # 8.006 n^2 at 3,600 nb edge states; the excess over 8 shrinks as n
     # grows)
     config._dense_fits(8 * n * n * 8, f"the time matrix of {n} states")
-    if pi is None:
-        pi = stationary_density(chain)
-    if not check_irreducible(chain)[0]:
-        # some state misses some other: that column is infinite
-        raise InvariantViolation(
-            "hitting time is infinite: some state never reaches the target set"
-        )
+    pi = stationary_density(chain)
     A = np.eye(n)
     # minus P, each stored entry subtracted in turn, as scipy's toarray sums them
     np.subtract.at(A, (_csr_rows(chain.indptr), chain.indices), chain.data)
@@ -253,7 +227,7 @@ def hitting_matrix(chain, pi=None) -> TimeMatrix:
     return TimeMatrix(matrix=T, kappa=kappa, kappa_spread=spread)
 
 
-def subset_decomposition(chain, S, pi=None, T=None) -> SubsetDecomposition:
+def subset_decomposition(chain, S, T=None) -> SubsetDecomposition:
     """Express hitting times of a set through its singleton columns.
 
     The hitting time vector of S equals a convex combination of the
@@ -261,16 +235,17 @@ def subset_decomposition(chain, S, pi=None, T=None) -> SubsetDecomposition:
     weights_i = pi_i * (mean return time to S started at i), and the
     constant is the weighted mean time from any member of S to the
     members (independent of the chosen member). Both facts are
-    verified numerically before returning.
+    verified numerically before returning. The density is
+    ``stationary_density(chain)``, so a reducible chain raises
+    ``ReducibleChainError`` before any solve.
 
     ``T`` may carry a precomputed time matrix to reuse its columns.
     """
-    if pi is None:
-        pi = stationary_density(chain)
+    pi = stationary_density(chain)
     n = chain.n_states
     mask = _target_mask(n, S)
     idx = np.flatnonzero(mask)
-    tau = _entry_times(chain, mask)
+    tau = chain_steps(chain, mask)[0]
     tau_plus = 1.0 + (chain.matrix[idx] @ tau)
 
     weights = np.zeros(n)

@@ -16,8 +16,8 @@ start distribution over first edges: leaving i along (i, j) with
 probability proportional to the invariant mass of (i, j).
 
 ``equilibrium_pullback`` is the one constructor. It decides no
-density itself: it takes a supplied ``pihat``, validated, else the
-density the chain carries (see ``Chain``), else the solved one.
+density itself: it takes the density the chain carries (see
+``Chain``), else ``stationary_density``'s, which the chain then keeps.
 
 Both operators index edge e by its target, so their products are
 sums grouped by node, formed with ``np.bincount`` in the order
@@ -37,7 +37,6 @@ from .chains import (
     Chain,
     _csr_rows,
     _require_edge_chain,
-    _validate_density,
     check_irreducible,
     stationary_density,
 )
@@ -107,27 +106,23 @@ def _group_normalize(values: np.ndarray, groups: np.ndarray, n_groups: int) -> n
     return out / sums2[groups]
 
 
-def equilibrium_pullback(chain: Chain, pihat: np.ndarray | None = None) -> PullbackData:
+def equilibrium_pullback(chain: Chain) -> PullbackData:
     """Collapse an edge chain to its equilibrium node chain.
 
-    The invariant edge density is ``pihat`` when supplied (validated
-    first), else the chain's own ``density``, else the solved one
-    (``stationary_density`` raises ``ReducibleChainError`` with the
-    strongly connected components for a reducible chain). A carried
-    density is used on a reducible chain too: the uniform density of
-    the never-backtracking walk on an undirected cycle is invariant,
-    though not unique. The identity lifting @ restriction = I and the
-    balance between in- and out-masses per node are enforced. A chain
-    on nodes raises ``ChainError``.
+    The invariant edge density is the chain's own ``density`` (one is
+    supplied only through ``Chain(..., density=)``), else the solved
+    one (``stationary_density``, which stores it on the chain and
+    raises ``ReducibleChainError`` with the strongly connected
+    components for a reducible chain). A carried density is used on a
+    reducible chain too: the uniform density of the never-backtracking
+    walk on an undirected cycle is invariant, though not unique. The
+    identity lifting @ restriction = I and the balance between in- and
+    out-masses per node are enforced. A chain on nodes raises
+    ``ChainError``.
     """
     _require_edge_chain(chain)
     g = chain.graph
-    if pihat is not None:
-        pihat = _validate_density(chain, pihat, "supplied edge")
-    elif chain.density is not None:
-        pihat = chain.density
-    else:
-        pihat = stationary_density(chain)
+    pihat = chain.density if chain.density is not None else stationary_density(chain)
 
     m, n = g.m, g.n
     node_density = np.bincount(g.dst, weights=pihat, minlength=n)

@@ -222,19 +222,20 @@ def lifted_hitting_matrix(pdata: PullbackData) -> np.ndarray:
     operators: scale each column by the edge's return weight to the
     in-edge set of its target node, collapse, and subtract per-target
     offsets. The result must agree with ``hitting_matrix`` within
-    tolerance, and is returned. Its largest arrays are those that form
+    tolerance, and is returned. A reducible chain raises
+    ``ReducibleChainError`` from ``fo.hitting_matrix``, before any
+    factorization. Its largest arrays are those that form
     the edge time matrix, 8 m^2 (``fo.hitting_matrix``, whose byte
     budget check comes first); what it holds after that, that matrix,
     its scaled copy and their n x m product, is smaller.
     """
     chain = pdata.chain
     g = chain.graph
-    pihat = pdata.edge_density
-    edge_T = fo.hitting_matrix(chain, pi=pihat)
+    edge_T = fo.hitting_matrix(chain)
     scale = np.zeros(g.m)
     offsets = np.zeros(g.n)
     for k in range(g.n):
-        dec = fo.subset_decomposition(chain, g.in_edges(k), pi=pihat, T=edge_T.matrix)
+        dec = fo.subset_decomposition(chain, g.in_edges(k), T=edge_T.matrix)
         scale += dec.weights
         offsets[k] = dec.offset
     lifted = (pdata.lifting @ (edge_T.matrix * scale[None, :]) @

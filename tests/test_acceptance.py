@@ -222,11 +222,11 @@ def test_criterion_06_classical_identities():
         n = chain.n_states
         pi = stationary_density(chain)
         for i in range(n):
-            ret = fo.return_times(chain, [i], pi=pi)
+            ret = fo.return_times(chain, [i])
             dev = abs(ret.per_state[i] * pi[i] - 1.0)
             worst_kac = max(worst_kac, dev)
             assert dev <= 1e-10
-        tm = fo.hitting_matrix(chain, pi=pi)
+        tm = fo.hitting_matrix(chain)
         worst_spread = max(worst_spread, tm.kappa_spread)
         assert tm.kappa_spread <= 1e-8
         resid = ((np.eye(n) - chain.matrix) @ tm.matrix
@@ -237,7 +237,7 @@ def test_criterion_06_classical_identities():
         for _ in range(10):
             size = int(rng.integers(1, max(2, n // 2 + 1)))
             S = np.sort(rng.choice(n, size=size, replace=False))
-            dec = fo.subset_decomposition(chain, S, pi=pi, T=tm.matrix)
+            dec = fo.subset_decomposition(chain, S, T=tm.matrix)
             recon = tm.matrix[:, S] @ dec.weights[S] - dec.offset
             direct = fo.mean_hitting_times(chain, S).time
             dev = float(np.abs(recon - direct).max())

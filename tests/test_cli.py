@@ -309,6 +309,29 @@ class TestAlphaSweep:
         top = {s["alpha"]: s for s in doc["summary"]}
         assert top[1]["ratio_min"] == 1 and top[1]["ratio_max"] == 1
 
+    def test_each_distinct_weight_solved_once(self, capsys, k4_file, monkeypatch):
+        import walktimes.secondorder as so
+        solved = []
+        real = so.hitting_matrix
+
+        def counted(pdata):
+            solved.append(pdata.chain.kind)
+            return real(pdata)
+        monkeypatch.setattr(so, "hitting_matrix", counted)
+        code, out, err = run(capsys, "alpha-sweep", "--input", k4_file, "--undirected",
+                             "--alpha-grid", "1,0,1,0.5,-0,0.5")
+        assert code == 0
+        assert solved == ["downweighted:1", "downweighted:0", "downweighted:0.5"]
+        # still one block of rows per grid entry, each printing its own weight
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[::4]] == ["1", "0", "1", "0.5", "-0", "0.5"]
+        assert rows[4:8] == [row.replace("-0,", "0,", 1) for row in rows[16:20]]
+        assert rows[:4] == rows[8:12] and rows[12:16] == rows[20:24]
+        assert len(err.splitlines()) == 6
+        solved.clear()
+        run(capsys, "alpha-sweep", "--input", k4_file, "--undirected", "--alpha-grid", "0.5")
+        assert solved == ["downweighted:0.5", "downweighted:1"]
+
     def test_bad_grid_is_data_error(self, capsys, c4_file):
         code, _, err = run(capsys, "alpha-sweep", "--input", c4_file,
                            "--undirected", "--alpha-grid", "0,zebra")

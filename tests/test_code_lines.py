@@ -46,7 +46,7 @@ def test_package_option_counts(capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[-3].split() == ["walktimes.__all__", "names", "54"]
     assert rows[-2].split() == ["Tolerances", "fields", "16"]
-    assert rows[-1].split() == ["defaulted", "parameters", "35"]
+    assert rows[-1].split() == ["defaulted", "parameters", "31"]
 
 
 def test_plain_directory_has_no_option_counts(tmp_path):

@@ -77,3 +77,20 @@ def test_no_tol_parameter_and_no_bound_bound_at_import():
         if mod.__name__ != "walktimes.config":
             assert not {"TOL", "Tolerances"} & set(vars(mod)), mod.__name__
     assert takes_tol == []
+
+
+def test_no_density_parameter():
+    """A chain's invariant density is supplied only through
+    ``Chain(..., density=)``: no public callable takes a ``pi`` or ``pihat``."""
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", script)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    funcs = [obj.__init__ if inspect.isclass(obj) else obj
+             for obj in code_lines.public_objects(walktimes) if callable(obj)]
+    takes_density = [f.__qualname__ for f in funcs
+                     if {"pi", "pihat"} & set(inspect.signature(f).parameters)]
+    assert takes_density == []

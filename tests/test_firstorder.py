@@ -150,7 +150,7 @@ class TestReturnTimes:
         for ch in chains:
             pi = stationary_density(ch)
             for i in range(ch.n_states):
-                res = return_times(ch, [i], pi=pi)
+                res = return_times(ch, [i])
                 assert res.set_mean * pi[i] == pytest.approx(1.0, abs=1e-10)
 
     def test_reducible_rejected(self, c4):
@@ -183,7 +183,7 @@ class TestHittingMatrix:
         g = oracles.random_undirected(10, 8, 5)
         ch = uniform_node_chain(g)
         pi = stationary_density(ch)
-        tm = hitting_matrix(ch, pi=pi)
+        tm = hitting_matrix(ch)
         n = g.n
         lhs = tm.matrix - ch.matrix @ tm.matrix
         rhs = np.ones((n, n))
@@ -277,9 +277,8 @@ class TestSubsetDecomposition:
 
     def test_c4_opposite_pair_identity(self, c4):
         ch = uniform_node_chain(c4)
-        pi = stationary_density(ch)
-        dec = subset_decomposition(ch, [0, 2], pi=pi)
-        tm = hitting_matrix(ch, pi=pi)
+        dec = subset_decomposition(ch, [0, 2])
+        tm = hitting_matrix(ch)
         recon = tm.matrix[:, [0, 2]] @ dec.weights[[0, 2]] - dec.offset
         tau = mean_hitting_times(ch, [0, 2]).time
         assert np.abs(recon - tau).max() <= 1e-10
@@ -289,12 +288,11 @@ class TestSubsetDecomposition:
         for seed in range(2):
             g = oracles.random_undirected(12, 10, seed + 20)
             ch = uniform_node_chain(g)
-            pi = stationary_density(ch)
-            tm = hitting_matrix(ch, pi=pi)
+            tm = hitting_matrix(ch)
             for _ in range(10):
                 size = int(rng.integers(1, 5))
                 S = sorted(rng.choice(g.n, size=size, replace=False).tolist())
-                dec = subset_decomposition(ch, S, pi=pi, T=tm.matrix)
+                dec = subset_decomposition(ch, S, T=tm.matrix)
                 assert dec.weights.sum() == pytest.approx(1.0, abs=1e-10)
                 recon = tm.matrix[:, S] @ dec.weights[S] - dec.offset
                 tau = mean_hitting_times(ch, S).time

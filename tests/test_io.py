@@ -14,6 +14,7 @@ from walktimes import (
     ChainError,
     GraphFormatError,
     edge_chain_from_tensor,
+    equilibrium_pullback,
     load_chain,
     load_transition_file,
     nonbacktracking_edge_chain,
@@ -70,6 +71,34 @@ class TestChainRoundTrip:
         assert back.kind == "tensor"
         assert np.array_equal(back.matrix.toarray(), ch.matrix.toarray())
         assert np.array_equal(back.density, ch.density)
+
+    def test_solved_density_saved_and_validated(self, k4, tmp_path, monkeypatch):
+        import walktimes.chains as chains
+
+        ch = edge_chain_from_tensor(k4, oracles.random_step_weights(k4, 6))
+        assert ch.density is None
+        base = str(tmp_path / "tensor_k4")
+        _, sidecar = save_chain(ch, base)
+        with open(sidecar, encoding="utf-8") as fh:
+            assert json.load(fh)["density"] is None
+        pi = stationary_density(ch)
+        save_chain(ch, base)
+        with open(sidecar, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["density"] == pi.tolist()
+
+        def refuse(P):
+            raise AssertionError("a saved density was solved again")
+        monkeypatch.setattr(chains, "_solve_density", refuse)
+        back = load_chain(base)
+        assert np.array_equal(back.density, pi)
+        assert equilibrium_pullback(back).edge_density is back.density
+        # the sidecar's density is validated as any supplied one is
+        doc["density"][0] *= 2
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ChainError, match="^edge chain density must sum to 1$"):
+            load_chain(base)
 
     def test_unknown_states_rejected(self, c4, tmp_path):
         base = str(tmp_path / "nb_c4")

@@ -193,13 +193,12 @@ class TestEquilibriumPullback:
         ch = nonbacktracking_edge_chain(c4)
         clockwise = np.isin(np.arange(8), [c4.edge_id(i, (i + 1) % 4) for i in range(4)])
         pihat = np.where(clockwise, 0.05, 0.2)
-        pdata = equilibrium_pullback(ch, pihat=pihat)
-        assert np.array_equal(pdata.edge_density, pihat)
-        assert np.allclose(pdata.node_density, 0.25, atol=1e-15)
         # a density supplied to the chain wins over the uniform one
         own = Chain(c4, ch.matrix, "edges", density=pihat)
         assert np.array_equal(own.density, pihat)
-        assert np.array_equal(equilibrium_pullback(own).edge_density, pihat)
+        pdata = equilibrium_pullback(own)
+        assert np.array_equal(pdata.edge_density, pihat)
+        assert np.allclose(pdata.node_density, 0.25, atol=1e-15)
 
     def test_chain_density_before_solve(self, k4):
         ch = uniform_edge_chain(k4)
@@ -211,7 +210,7 @@ class TestEquilibriumPullback:
         bad = np.full(12, 1 / 12)
         bad[0] = 0.5  # not invariant, does not even sum to 1
         with pytest.raises(ChainError):
-            equilibrium_pullback(ch, pihat=bad)
+            Chain(k4, ch.matrix, "edges", density=bad)
 
     def test_irreducible_always_allowed(self, k4):
         pdata = equilibrium_pullback(nonbacktracking_edge_chain(k4))

@@ -17,10 +17,12 @@ from walktimes import (
     hitting_matrix,
     mean_hitting_times,
     nonbacktracking_edge_chain,
+    stationary_density,
     uniform_edge_chain,
     uniform_node_chain,
 )
 from walktimes import config, secondorder
+from walktimes import firstorder as fo
 from walktimes._solvers import (
     _NodeSystem,
     _node_sets_steps,
@@ -486,10 +488,15 @@ class TestReachSolveOnlyOnReducibleChains:
         assert sol.time.tolist() == [np.inf, 0.0, np.inf, 1.0, np.inf]
         assert sol.probability.tolist() == [0.5, 1.0, 0.0, 1.0, 0.0]
 
-    def test_route_both_on_reducible_chain_fails_fast(self, c4):
-        ch = nonbacktracking_edge_chain(c4)
-        with pytest.raises(InvariantViolation, match="never reaches"):
-            secondorder.lifted_hitting_matrix(pullback_of(ch))
+    def test_route_both_on_reducible_chain_fails_fast(self, c4, monkeypatch):
+        # nb on C4 carries the uniform density but splits into the two
+        # directions of travel
+        pdata = pullback_of(nonbacktracking_edge_chain(c4))
+        calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+        with pytest.raises(ReducibleChainError) as err:
+            secondorder.lifted_hitting_matrix(pdata)
+        assert len(err.value.components) == 2
+        assert calls == [] and dense == []
 
     def test_lifted_route_on_reducible_bistochastic_chain(self, k4, monkeypatch):
         # the permutation walk carries the uniform density but splits
@@ -498,10 +505,9 @@ class TestReachSolveOnlyOnReducibleChains:
         pdata = pullback_of(ch)
         calls = count_splu(monkeypatch)
         monkeypatch.setattr(np.linalg, "inv", None)
-        with pytest.raises(InvariantViolation) as err:
+        with pytest.raises(ReducibleChainError) as err:
             secondorder.lifted_hitting_matrix(pdata)
-        assert str(err.value) == (
-            "hitting time is infinite: some state never reaches the target set")
+        assert len(err.value.components) == 2
         assert calls == []
 
 
@@ -807,11 +813,18 @@ K4_PERMUTATION = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 
 
 
 def edge_loop_condition(pdata):
-    """``random_target``'s condition from one edge-chain return solve per node."""
+    """``random_target``'s condition from one edge-chain solve per node.
+
+    The in-edge return times are 1 + (P tau)[in(k)], tau the edge
+    chain's times to in(k): the ``per_state`` values that
+    ``fo.return_times`` forms, without its density, so the oracle also
+    serves a reducible chain.
+    """
     chain = pdata.chain
     for k in range(chain.graph.n):
         edges = chain.graph.in_edges(k)
-        vals = edge_return_times(chain, edges, pi=pdata.edge_density).per_state[edges]
+        tau = mean_hitting_times(chain, edges).time
+        vals = 1.0 + (chain.matrix @ tau)[edges]
         if vals.max() - vals.min() > TOL.access_spread * max(1.0, vals.mean()):
             return False
     return True
@@ -844,7 +857,7 @@ class TestEdgeChainReturnCrossCheck:
             for k in range(g.n):
                 x = secondorder.mean_hitting_times(ch, k).time
                 edges = g.in_edges(k)
-                want = edge_return_times(ch, edges, pi=pdata.edge_density).per_state[edges]
+                want = edge_return_times(ch, edges).per_state[edges]
                 got = 1.0 + (ch.matrix @ (ch.matrix @ x))[edges]
                 assert np.allclose(got, want, rtol=1e-12, atol=0)
             for _ in range(4):
@@ -852,7 +865,7 @@ class TestEdgeChainReturnCrossCheck:
                 x = node_target_steps(ch, S)[0]
                 got = secondorder._return_time(pdata, S, x, "S")
                 in_edges = np.flatnonzero(np.isin(g.dst, S))
-                want = edge_return_times(ch, in_edges, pi=pdata.edge_density).set_mean
+                want = edge_return_times(ch, in_edges).set_mean
                 assert got == pytest.approx(want, rel=1e-12)
             kinds.add(ch.kind.split(":")[0])
         assert kinds == {"uniform", "nonbacktracking", "downweighted", "tensor"}
@@ -988,3 +1001,72 @@ class TestDenseByteBudget:
                                                    "arrays, over the budget of 799 bytes$"):
                 query(pdata)
         assert (dense, calls) == ([], []) and pdata.chain._node_system is None
+
+
+def count_density_solves(monkeypatch):
+    """Route ``chains._solve_density`` through a call counter."""
+    import walktimes.chains as chains
+    calls = []
+    real = chains._solve_density
+
+    def counted(P):
+        calls.append(P.shape[0])
+        return real(P)
+    monkeypatch.setattr(chains, "_solve_density", counted)
+    return calls
+
+
+# two disjoint directed 3-cycles: the classical edge chain is a
+# permutation, so it carries the uniform density but is reducible
+TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+class TestOneDensityPerChain:
+    """``Chain.density`` is the one home of a chain's invariant density:
+    a chain without one is solved once, whatever asks for it."""
+
+    @staticmethod
+    def every_entry_point(ch):
+        stationary_density(ch)
+        pdata = equilibrium_pullback(ch)
+        fo.return_times(ch, [0])
+        fo.hitting_matrix(ch)
+        fo.subset_decomposition(ch, [0, 1])
+        secondorder.lifted_hitting_matrix(pdata)
+        stationary_density(ch)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solved_once(self, k4, seed, monkeypatch):
+        for ch in (random_tensor_chain(k4, seed),
+                   uniform_edge_chain(oracles.random_digraph(10, 8, seed))):
+            assert ch.density is None and check_irreducible(ch)[0]
+            calls = count_density_solves(monkeypatch)
+            self.every_entry_point(ch)
+            assert calls == [ch.n_states]
+            assert ch.density is stationary_density(ch)
+
+    def test_carried_density_never_solved(self, k4, petersen, monkeypatch):
+        calls = count_density_solves(monkeypatch)
+        for g in (k4, petersen, oracles.random_undirected(10, 6, 3)):
+            for ch in (uniform_edge_chain(g), nonbacktracking_edge_chain(g),
+                       downweighted_edge_chain(g, 0.3)):
+                density = ch.density
+                self.every_entry_point(ch)
+                assert ch.density is density
+        assert calls == []
+
+    @pytest.mark.parametrize("walk", ["nb-c4", "two-triangles"])
+    def test_reducible_chain_raises_before_any_solve(self, c4, walk, monkeypatch):
+        ch = (nonbacktracking_edge_chain(c4) if walk == "nb-c4"
+              else uniform_edge_chain(TWO_TRIANGLES))
+        assert ch.density is not None and not check_irreducible(ch)[0]
+        pdata = equilibrium_pullback(ch)
+        calls, dense = count_splu(monkeypatch), count_inverses(monkeypatch)
+        solves = count_density_solves(monkeypatch)
+        for query in (lambda: fo.return_times(ch, [0]), lambda: fo.hitting_matrix(ch),
+                      lambda: fo.subset_decomposition(ch, [0, 1]),
+                      lambda: secondorder.lifted_hitting_matrix(pdata)):
+            with pytest.raises(ReducibleChainError) as err:
+                query()
+            assert len(err.value.components) == 2
+        assert (calls, dense, solves) == ([], [], [])
